@@ -12,11 +12,12 @@ import argparse
 import sys
 
 from . import catalog as cat
-from .complexes import clique_complex, is_graph_covering, is_simplicial_covering
+from .complexes import clique_complex, coverings_agree
 from .config import Budgets
 from .cover import classify, universal_cover
 from .enumeration import canonical_graphs
-from .errors import BinoxError, BudgetExceeded, KernelFault, SearchBudgetExceeded
+from .errors import (BinoxError, BudgetExceeded, KernelFault,
+                     SearchBudgetExceeded, UsageError)
 from .explorer import explore, lift_check
 from .graphs import (format_graph, format_vertex_map, load_graph,
                      load_vertex_map, save_graph)
@@ -44,6 +45,19 @@ def _emit(porcelain: bool, pairs: list[tuple[str, object]], human: str) -> None:
             print(f"{key}={value}")
     else:
         print(human)
+
+
+def _vertex(g, v: int, option: str) -> int:
+    if not 0 <= v < g.n:
+        raise UsageError(f"{option} {v} is not a vertex of the "
+                         f"{g.n}-vertex graph")
+    return v
+
+
+def _nonnegative(value: int, option: str) -> int:
+    if value < 0:
+        raise UsageError(f"{option} must be >= 0, got {value}")
+    return value
 
 
 def _budgets(args: argparse.Namespace) -> Budgets:
@@ -104,7 +118,8 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 def cmd_ucover(args: argparse.Namespace) -> int:
     g = load_graph(args.graph)
-    res = universal_cover(g, base=args.base, budgets=_budgets(args))
+    res = universal_cover(g, base=_vertex(g, args.base, "--base"),
+                          budgets=_budgets(args))
     if not res.finite:
         _emit(args.porcelain, [("status", res.status), ("explored", res.explored)],
               f"development exceeded {res.explored} lifted vertices")
@@ -130,26 +145,26 @@ def cmd_cover_check(args: argparse.Namespace) -> int:
     src = load_graph(args.src)
     dst = load_graph(args.dst)
     f = load_vertex_map(args.map, src, dst)
-    gc = is_graph_covering(f, src, dst)
-    try:
-        sc = is_simplicial_covering(f, clique_complex(src), clique_complex(dst))
-    except BinoxError:
-        sc = False
-    if gc != sc:
-        raise KernelFault(f"covering notions disagree: graph={gc} simplicial={sc}")
+    verdict = coverings_agree(f, src, dst)  # faults if the notions disagree
     pairs = [
-        ("graph_covering", str(gc).lower()),
-        ("simplicial_covering", str(sc).lower()),
+        ("graph_covering", str(verdict).lower()),
+        ("simplicial_covering", str(verdict).lower()),
         ("agree", "true"),
     ]
     _emit(args.porcelain, pairs,
-          f"graph covering: {gc}; simplicial covering: {sc}; definitions agree")
+          f"graph covering: {verdict}; simplicial covering: {verdict}; "
+          f"definitions agree")
     return 0
 
 
 def cmd_contract(args: argparse.Namespace) -> int:
     g = load_graph(args.graph)
-    loop = tuple(int(x) for x in args.loop.split(","))
+    try:
+        loop = tuple(int(x) for x in args.loop.split(","))
+    except ValueError:
+        raise UsageError(f"--loop {args.loop!r} is not a comma-separated "
+                         f"list of vertex numbers") from None
+    _nonnegative(args.k, "--k")
     cx = clique_complex(g, _budgets(args))
     budgets = _budgets(args)
     try:
@@ -210,7 +225,9 @@ def cmd_lift_check(args: argparse.Namespace) -> int:
 
 def cmd_view(args: argparse.Namespace) -> int:
     g = load_graph(args.graph)
-    sys.stdout.write(format_view(view(g, args.vertex, args.depth)))
+    v = _vertex(g, args.vertex, "--vertex")
+    depth = _nonnegative(args.depth, "--depth")
+    sys.stdout.write(format_view(view(g, v, depth)))
     return 0
 
 

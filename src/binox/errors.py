@@ -12,6 +12,10 @@ class BinoxError(Exception):
     """Base class for all package errors."""
 
 
+class UsageError(BinoxError):
+    """A command-line argument is malformed or out of range for its input."""
+
+
 class GraphFormatError(BinoxError):
     """Malformed graph or map file."""
 

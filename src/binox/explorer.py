@@ -63,6 +63,9 @@ class PhasedAgent:
         self.phase_log: list[tuple] = []
         self.accepted: Candidate | None = None
         self.accepted_k: int | None = None
+        # digest caches, filled by snapshot() only
+        self._config_hash: str | None = None
+        self._chain: list[tuple] = []  # see _stack_hash
 
     # -- protocol ----------------------------------------------------------
 
@@ -83,23 +86,69 @@ class PhasedAgent:
         return self._decide()
 
     def snapshot(self) -> tuple:
-        """Complete agent state as plain data; input to the memory digest."""
+        """Agent state as compact plain data; input to the memory digest.
+
+        Small state enters as is: k, the pending descent port, the phase
+        view ids and log, and the accepted candidate.  The rest enters as
+        sha256 values of its full rendering: the fixed configuration (mode,
+        walk, hint encodings), the intern table (length and running
+        digest) and the frame stack (a hash chain, one link per depth).
+        Each hash is a function of the value it covers, so equal states
+        give equal snapshots and, up to sha256 collisions, unequal states
+        unequal ones.  The cost tracks what changed since the previous
+        call: table keys are append-only and hashed once, and the chain is
+        recomputed only from the lowest frame that changed.
+        """
+        if self._config_hash is None:
+            cfg = (self.mode, self.walk,
+                   tuple(h.encoding() for h in self.hints))
+            self._config_hash = hashlib.sha256(repr(cfg).encode()).hexdigest()
         acc = None
         if self.accepted is not None:
             acc = (self.accepted.graph.encoding(), self.accepted.root,
                    self.accepted_k)
         return (
             self.k,
-            self.mode,
-            self.walk,
-            tuple(h.encoding() for h in self.hints),
-            tuple((f[0], f[1], f[2], tuple(f[3]), f[4]) for f in self.stack),
             self._descend_port,
-            self.table.entries(),
+            self._stack_hash(),
+            len(self.table),
+            self.table.digest(),
             tuple(self.view_ids),
             tuple(self.phase_log),
             acc,
+            self._config_hash,
         )
+
+    def _stack_hash(self) -> str | None:
+        """Top link of the per-depth hash chain over the frame stack.
+
+        A frame's port, entry and label are fixed when it is pushed and its
+        children list only grows, so (frame object, child count, next port)
+        pins its value.  Links from the first depth where that triple
+        differs from the cached one are recomputed, reusing the rendering
+        of the fixed fields of every frame that is still the cached object.
+        """
+        chain, stack = self._chain, self.stack
+        d, top = 0, min(len(chain), len(stack))
+        while d < top:
+            frame, n_children, next_port, _, _ = chain[d]
+            f = stack[d]
+            if frame is not f or n_children != len(f[3]) or next_port != f[4]:
+                break
+            d += 1
+        link = chain[d - 1][4] if d else b""
+        links = []
+        for j in range(d, len(stack)):
+            f = stack[j]
+            if j < len(chain) and chain[j][0] is f:
+                head = chain[j][3]
+            else:
+                head = repr((f[0], f[1], f[2])).encode()
+            tail = repr((tuple(f[3]), f[4])).encode()
+            link = hashlib.sha256(link + head + tail).digest()
+            links.append((f, len(f[3]), f[4], head, link))
+        chain[d:] = links
+        return link.hex() if chain else None
 
     # -- internals ----------------------------------------------------------
 
@@ -164,7 +213,11 @@ def agent_digest(agent) -> str:
     The snapshot is nested plain data (tuples, ints, strings, None), for
     which repr is canonical.  Reference-sharing serializers (pickle) are
     unsuitable here: byte output would depend on which equal label tuples
-    happen to be the same object, which differs across terrains.
+    happen to be the same object, which differs across terrains.  For a
+    PhasedAgent the snapshot carries hashes of its large parts (see
+    ``PhasedAgent.snapshot``), so a digest costs time proportional to the
+    state that changed since the previous digest of the same agent, and
+    equal states still give equal digests.
     """
     return hashlib.sha256(repr(agent.snapshot()).encode()).hexdigest()
 

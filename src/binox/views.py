@@ -15,6 +15,7 @@ remaining depth; all code here respects that.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 
 from .errors import DepthMismatch
@@ -153,11 +154,13 @@ class ViewInterner:
     subtrees (at equal remaining depth) receive equal ids.
     """
 
-    __slots__ = ("_ids", "_keys")
+    __slots__ = ("_ids", "_keys", "_hash", "_hashed")
 
     def __init__(self) -> None:
         self._ids: dict[tuple, int] = {}
         self._keys: list[tuple] = []
+        self._hash = None  # created by the first digest() call
+        self._hashed = 0
 
     def intern(self, key: tuple) -> int:
         got = self._ids.get(key)
@@ -171,9 +174,21 @@ class ViewInterner:
     def key(self, ident: int) -> tuple:
         return self._keys[ident]
 
-    def entries(self) -> tuple[tuple, ...]:
-        """Insertion-ordered keys; the table's full observable state."""
-        return tuple(self._keys)
+    def digest(self) -> str:
+        """sha256 over the insertion-ordered keys, one repr line per key.
+
+        The keys are the table's full observable state and are append-only,
+        so a running hash advanced over the keys added since the previous
+        call equals a hash of the whole table.  ``intern`` never touches it.
+        """
+        if self._hash is None:
+            self._hash = hashlib.sha256()
+        h = self._hash
+        for key in self._keys[self._hashed:]:
+            h.update(repr(key).encode())
+            h.update(b"\n")
+        self._hashed = len(self._keys)
+        return h.hexdigest()
 
     def __len__(self) -> int:
         return len(self._keys)

@@ -3,8 +3,11 @@
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from binox.cli import main
+from binox.errors import KernelFault
 from binox.graphs import load_graph, load_vertex_map
 
 CATALOG = Path(__file__).resolve().parent.parent / "catalog"
@@ -275,3 +278,53 @@ def test_malformed_graph_reports_line(capsys, tmp_path):
     code, _, err = run(capsys, "classify", str(bad))
     assert code == 2
     assert "line 2" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("contract", g("k3"), "--loop", "a,b", "--k", "3"),
+    ("contract", g("k3"), "--loop", "0,1,2,0", "--k", "-1"),
+    ("view", g("k3"), "--vertex", "9", "--depth", "1"),
+    ("view", g("k3"), "--depth", "-1"),
+    ("ucover", g("k3"), "--base", "7"),
+])
+def test_bad_arguments_exit_two_with_one_error_line(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+_token = st.one_of(st.integers(-3, 5).map(str), st.sampled_from(["", "a", " "]))
+
+
+@st.composite
+def _argv(draw):
+    """A contract, view or ucover call on k3 with fuzzed numeric options.
+
+    Values are bounded so that every accepted call stays small: views of
+    depth <= 4 and searches capped at 2000 states.
+    """
+    cmd = draw(st.sampled_from(["contract", "view", "ucover"]))
+    if cmd == "contract":
+        loop = ",".join(draw(st.lists(_token, max_size=6)))
+        return [cmd, g("k3"), f"--loop={loop}",
+                f"--k={draw(st.integers(-3, 6))}", "--search-budget=2000"]
+    if cmd == "view":
+        return [cmd, g("k3"), f"--vertex={draw(st.integers(-3, 5))}",
+                f"--depth={draw(st.integers(-3, 4))}"]
+    return [cmd, g("k3"), f"--base={draw(st.integers(-3, 5))}", "--porcelain"]
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=_argv())
+def test_fuzzed_arguments_exit_zero_or_two(capsys, argv):
+    """The CLI contract: exit 0 (a verdict) or 2 (unusable input); the
+    only exception allowed to escape is KernelFault."""
+    try:
+        code, _, err = run(capsys, *argv)
+    except KernelFault:
+        return
+    assert code in (0, 2)
+    if code == 2:
+        assert err.startswith("error:") and err.count("\n") == 1

@@ -8,8 +8,8 @@ from binox.catalog import graph, vertex_map
 from binox.complexes import is_graph_covering
 from binox.enumeration import canonical_encoding
 from binox.errors import InvalidMove, NotACovering
-from binox.explorer import (PhasedAgent, explore, format_trace, lift_check,
-                            reconstructed_projection, run_agent)
+from binox.explorer import (PhasedAgent, agent_digest, explore, format_trace,
+                            lift_check, reconstructed_projection, run_agent)
 from binox.graphs import dest
 
 from conftest import relabel
@@ -82,6 +82,7 @@ def test_record_levels(p2):
     assert all(s.digest is None for s in steps)
     digs = run_agent(p2, Scripted([0]), record="digests").steps
     assert all(re.fullmatch(r"[0-9a-f]{64}", s.digest) for s in digs)
+    assert re.fullmatch(r"[0-9a-f]{64}", agent_digest(Scripted([0, 1])))
     with pytest.raises(ValueError):
         run_agent(p2, Scripted([]), record="everything")
 
