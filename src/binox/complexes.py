@@ -27,7 +27,7 @@ class CliqueComplex:
         self.simplices = simplices
         self.dimension = max(len(s) for s in simplices) - 1
         self._stars: dict[int, frozenset[Simplex]] = {}
-        # (u, v) sorted -> tuple of w completing a triangle, ascending
+        # (u, v), either order -> tuple of w completing a triangle, ascending
         tri: dict[tuple[int, int], list[int]] = {}
         tris_at: dict[int, list[Simplex]] = {v: [] for v in graph.vertices}
         for s in simplices:
@@ -38,7 +38,9 @@ class CliqueComplex:
                 tri.setdefault((b, c), []).append(a)
                 for v in s:
                     tris_at[v].append(s)
-        self._tri_third = {k: tuple(sorted(v)) for k, v in tri.items()}
+        self._tri_third: dict[tuple[int, int], tuple[int, ...]] = {}
+        for (u, v), ws in tri.items():
+            self._tri_third[u, v] = self._tri_third[v, u] = tuple(sorted(ws))
         self._tris_at = {v: tuple(sorted(ws)) for v, ws in tris_at.items()}
 
     def star(self, v: int) -> frozenset[Simplex]:
@@ -49,12 +51,9 @@ class CliqueComplex:
             self._stars[v] = got
         return got
 
-    def has_simplex(self, vertices) -> bool:
-        return tuple(sorted(set(vertices))) in self.simplices
-
     def triangle_thirds(self, u: int, v: int) -> tuple[int, ...]:
         """Vertices w such that {u, v, w} is a 2-simplex."""
-        return self._tri_third.get((min(u, v), max(u, v)), ())
+        return self._tri_third.get((u, v), ())
 
     def triangles_at(self, v: int) -> tuple[Simplex, ...]:
         return self._tris_at[v]

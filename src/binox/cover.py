@@ -117,8 +117,10 @@ def universal_cover(g: PortGraph, base: int = 0, verify: bool = True,
     the (integral) sheet count, and has passed an audit: the projection is
     a covering under both definitions, fibers have equal sizes, and the
     cover is simply connected.  On "budget_exceeded" only ``explored`` is
-    meaningful.
+    meaningful.  ValueError when ``base`` is not a vertex of g.
     """
+    if not 0 <= base < g.n:
+        raise ValueError(f"base {base} out of range for a {g.n}-vertex graph")
     dev = _develop(g, base, budgets.cover_vertices)
     if dev is None:
         return CoverResult("budget_exceeded", None, None, None, base,

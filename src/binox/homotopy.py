@@ -19,8 +19,9 @@ trivial loop at its basepoint.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from functools import cache
 from itertools import count
+from typing import NamedTuple
 
 from .complexes import CliqueComplex
 from .config import DEFAULT_BUDGETS, Budgets
@@ -30,14 +31,29 @@ from .graphs import PortGraph, check_walk
 Loop = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Move:
+class Move(NamedTuple):
     """One elementary move.  ``index`` is the position it acts at; ``data``
     carries the inserted vertex/vertices where applicable."""
 
     kind: str
     index: int
     data: tuple[int, ...] = ()
+
+
+# (edge steps, stationary steps) that a move of each kind adds to its loop
+_STEP_DELTAS: dict[str, tuple[int, int]] = {
+    "collapse": (0, -1),
+    "delete_backtrack": (-2, 0),
+    "contract_triangle": (-1, 0),
+    "delete_triangle": (-3, 0),
+    "insert_backtrack": (2, 0),
+    "expand_triangle": (1, 0),
+    "insert_triangle": (3, 0),
+}
+
+# Returned paths share one Move per distinct (kind, index, data), so callers
+# that keep many certificates do not keep one object per step.
+_shared_move = cache(Move)
 
 
 def neighbor_moves(loop: Loop, cx: CliqueComplex,
@@ -72,7 +88,7 @@ def neighbor_moves(loop: Loop, cx: CliqueComplex,
     for i in range(m - 2):  # delete_triangle: (a, x, y, a) -> (a,)
         a, x, y = loop[i], loop[i + 1], loop[i + 2]
         if (loop[i + 3] == a and x != y and a not in (x, y)
-                and cx.has_simplex((a, x, y))):
+                and y in cx.triangle_thirds(a, x)):
             out.append((Move("delete_triangle", i, (x, y)),
                         loop[:i + 1] + loop[i + 4:]))
 
@@ -141,10 +157,10 @@ def _edge_stationary_counts(loop: Loop) -> tuple[int, int]:
     return e, s
 
 
-def _heuristic(loop: Loop) -> int:
-    # one move removes at most 3 edge steps, or exactly 1 stationary step
-    e, s = _edge_stationary_counts(loop)
-    return (e + 2) // 3 + s
+def _check_query(loop: Loop, cx: CliqueComplex, k: int) -> None:
+    check_walk(cx.graph, loop, closed=True, stationary_ok=True)
+    if k < 0:
+        raise ValueError("negative move bound")
 
 
 def _search(loop: Loop, cx: CliqueComplex, k: int, budgets: Budgets,
@@ -159,23 +175,27 @@ def _search(loop: Loop, cx: CliqueComplex, k: int, budgets: Budgets,
     inflates only the queue priority (the <= k prune keeps the admissible
     bound), trading minimality for speed; use it for certificates only.
     """
-    check_walk(cx.graph, loop, closed=True, stationary_ok=True)
-    if k < 0:
-        raise ValueError("negative move bound")
+    _check_query(loop, cx, k)
     target: Loop = (loop[0],)
     start = tuple(loop)
     if start == target:
         return True, []
     cap = budgets.search_states
-    h0 = _heuristic(start)
+    # one move removes at most 3 edge steps, or exactly 1 stationary step;
+    # each heap entry carries its loop's counts, and a child's counts are
+    # its parent's plus the fixed delta of the move kind
+    e0, s0 = _edge_stationary_counts(start)
+    h0 = (e0 + 2) // 3 + s0
     if h0 > k:
         return False, None
+    deltas = _STEP_DELTAS
     best: dict[Loop, int] = {start: 0}
     parents: dict[Loop, tuple[Loop, Move]] = {}
     tie = count()
-    heap: list[tuple[int, int, int, Loop]] = [(weight * h0, 0, next(tie), start)]
+    heap: list[tuple[int, int, int, Loop, int, int]] = [
+        (weight * h0, 0, next(tie), start, e0, s0)]
     while heap:
-        f, gc, _, cur = heapq.heappop(heap)
+        f, gc, _, cur, e, s = heapq.heappop(heap)
         if best.get(cur, -1) != gc:
             continue  # stale entry
         if cur == target:
@@ -185,13 +205,15 @@ def _search(loop: Loop, cx: CliqueComplex, k: int, budgets: Budgets,
             node = cur
             while node != start:
                 prev, mv = parents[node]
-                path.append((mv, node))
+                path.append((_shared_move(*mv), node))
                 node = prev
             path.reverse()
             return True, path
+        ng = gc + 1
         for mv, nxt in neighbor_moves(cur, cx, insertions):
-            ng = gc + 1
-            nh = _heuristic(nxt)
+            de, ds = deltas[mv.kind]
+            ne, ns = e + de, s + ds
+            nh = (ne + 2) // 3 + ns
             if ng + nh > k:
                 continue
             old = best.get(nxt)
@@ -200,7 +222,7 @@ def _search(loop: Loop, cx: CliqueComplex, k: int, budgets: Budgets,
             best[nxt] = ng
             if want_path:
                 parents[nxt] = (cur, mv)
-            heapq.heappush(heap, (ng + weight * nh, ng, next(tie), nxt))
+            heapq.heappush(heap, (ng + weight * nh, ng, next(tie), nxt, ne, ns))
             if len(best) > cap:
                 raise SearchBudgetExceeded(
                     f"contractibility search passed {cap} states "
@@ -215,9 +237,10 @@ def is_k_contractible(loop: Loop, cx: CliqueComplex, k: int,
 
     SearchBudgetExceeded (never False) when the state cap is hit, so an
     exhausted search cannot be mistaken for a certified negative.
+    ValueError when k < 0, on every complex.
     """
     if cx.dimension < 2:
-        check_walk(cx.graph, loop, closed=True, stationary_ok=True)
+        _check_query(loop, cx, k)
         red, moves = free_reduction(loop)
         return len(red) == 1 and moves <= k
     reachable, _ = _search(loop, cx, k, budgets, want_path=False)

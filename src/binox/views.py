@@ -45,6 +45,8 @@ class ViewTree:
 
 def view(g: PortGraph, v: int, depth: int) -> ViewTree:
     """Depth-``depth`` view from v, with subtree sharing."""
+    if not 0 <= v < g.n:
+        raise ValueError(f"vertex {v} out of range for a {g.n}-vertex graph")
     if depth < 0:
         raise ValueError("negative view depth")
     memo: dict[tuple[int, int], ViewNode] = {}

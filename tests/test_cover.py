@@ -30,6 +30,12 @@ def test_triangle_is_simply_connected(k3):
     assert res.finite and res.sheets == 1 and res.cover.n == 3
 
 
+@pytest.mark.parametrize("base", [-1, 3])
+def test_base_outside_the_graph_is_rejected(base):
+    with pytest.raises(ValueError, match=f"base {base} .*3-vertex"):
+        universal_cover(graph("p3"), base)
+
+
 def test_square_development_never_closes(c4):
     res = universal_cover(c4, budgets=TIGHT)
     assert res.status == "budget_exceeded"

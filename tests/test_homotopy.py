@@ -150,6 +150,13 @@ def test_trivial_loop_contracts_in_zero(k3x):
     assert is_k_contractible((2,), k3x, 0)
 
 
+@pytest.mark.parametrize("name", ["c4", "k3"])  # free reduction, search
+def test_negative_bound_is_rejected(name):
+    cx = clique_complex(graph(name))
+    with pytest.raises(ValueError, match="negative move bound"):
+        is_k_contractible((0, 1, 0), cx, -1)
+
+
 @given(closed_walks(n_max=3))
 @settings(max_examples=30, deadline=None)
 def test_contractibility_monotone_in_k(gw):

@@ -1,0 +1,216 @@
+"""The contractibility search against the rescanning search it replaced.
+
+``homotopy._search`` carries each queued loop's (edge steps, stationary
+steps) and derives a child's heuristic from a fixed delta per move kind.
+The oracle below is the earlier search, which rescans every child loop to
+compute its heuristic.  On the same input both must give the same verdicts,
+minimal counts and certificates after the same number of ``neighbor_moves``
+calls, so the faster search does the same work.
+"""
+
+from __future__ import annotations
+
+import heapq
+import random
+from itertools import count, permutations
+
+import pytest
+
+import binox.homotopy as H
+from binox.catalog import graph
+from binox.complexes import clique_complex
+from binox.config import DEFAULT_BUDGETS, Budgets
+from binox.enumeration import canonical_graphs
+from binox.errors import SearchBudgetExceeded
+
+from conftest import all_closed_walks
+
+WALK_STEPS = 6
+SHORT_WALK_STEPS = 3
+BOUND = 6  # move bound of the searches on small graphs
+CERTIFICATE_MOVES = 20  # as in the acceptance gate's rp2 certificates
+SAMPLE_CYCLES = 40  # seeded sample per surface
+SAMPLE_BUDGETS = Budgets(search_states=1000)
+SAMPLE_VERDICT_BOUNDS = (2, 3, 4)  # exhaustive negatives within the cap
+
+
+def rescanning_heuristic(loop):
+    # one move removes at most 3 edge steps, or exactly 1 stationary step
+    e, s = H._edge_stationary_counts(loop)
+    return (e + 2) // 3 + s
+
+
+def rescanning_search(loop, cx, k, budgets, want_path, weight=1,
+                      insertions=True):
+    """The search as it was before the heuristic was carried: same queue,
+    same prune, heuristic recomputed from every child loop."""
+    if k < 0:
+        raise ValueError("negative move bound")
+    target = (loop[0],)
+    start = tuple(loop)
+    if start == target:
+        return True, []
+    cap = budgets.search_states
+    h0 = rescanning_heuristic(start)
+    if h0 > k:
+        return False, None
+    best = {start: 0}
+    parents = {}
+    tie = count()
+    heap = [(weight * h0, 0, next(tie), start)]
+    while heap:
+        f, gc, _, cur = heapq.heappop(heap)
+        if best.get(cur, -1) != gc:
+            continue
+        if cur == target:
+            if not want_path:
+                return True, None
+            path = []
+            node = cur
+            while node != start:
+                prev, mv = parents[node]
+                path.append((mv, node))
+                node = prev
+            path.reverse()
+            return True, path
+        for mv, nxt in H.neighbor_moves(cur, cx, insertions):
+            ng = gc + 1
+            nh = rescanning_heuristic(nxt)
+            if ng + nh > k:
+                continue
+            old = best.get(nxt)
+            if old is not None and old <= ng:
+                continue
+            best[nxt] = ng
+            if want_path:
+                parents[nxt] = (cur, mv)
+            heapq.heappush(heap, (ng + weight * nh, ng, next(tie), nxt))
+            if len(best) > cap:
+                raise SearchBudgetExceeded(f"passed {cap} states")
+    return False, None
+
+
+class CheckedMoves:
+    """Stands in for ``neighbor_moves``: counts the calls and, while
+    ``check`` is set, checks every child's step counts against its
+    parent's plus its move kind's delta."""
+
+    def __init__(self, real):
+        self.real = real
+        self.calls = 0
+        self.check = True
+
+    def __call__(self, loop, cx, insertions=True):
+        self.calls += 1
+        out = self.real(loop, cx, insertions)
+        if not self.check:
+            return out
+        e, s = H._edge_stationary_counts(loop)
+        for mv, nxt in out:
+            de, ds = H._STEP_DELTAS[mv.kind]
+            assert H._edge_stationary_counts(nxt) == (e + de, s + ds), \
+                (loop, mv, nxt)
+        return out
+
+
+@pytest.fixture
+def moves(monkeypatch):
+    checked = CheckedMoves(H.neighbor_moves)
+    monkeypatch.setattr(H, "neighbor_moves", checked)
+    return checked
+
+
+def run(moves, fn, *args, **kw):
+    """(result, neighbor_moves calls), with a budget error as a result.
+    Step counts are checked on the search under test, not on the oracle."""
+    moves.calls = 0
+    moves.check = fn is not rescanning_search
+    try:
+        got = fn(*args, **kw)
+    except SearchBudgetExceeded:
+        got = "budget"
+    return got, moves.calls
+
+
+def searched(moves, loop, cx, k, budgets, **kw):
+    """The oracle's path (None when unreachable) and its call count."""
+    got, calls = run(moves, rescanning_search, loop, cx, k, budgets,
+                     want_path=True, **kw)
+    return (got if got == "budget" else got[1]), calls
+
+
+def assert_same_verdict(moves, loop, cx, k, budgets):
+    """is_k_contractible agrees with the oracle, call for call."""
+    verdict = run(moves, H.is_k_contractible, loop, cx, k, budgets)
+    if cx.dimension >= 2:
+        got, calls = run(moves, rescanning_search, loop, cx, k, budgets,
+                         want_path=False)
+        assert verdict == ((got if got == "budget" else got[0]), calls), \
+            (loop, k)
+    else:
+        # triangle-free: decided by free reduction, without a search
+        path, _ = searched(moves, loop, cx, k, budgets)
+        if path != "budget":
+            assert verdict == (path is not None, 0), (loop, k)
+
+
+def assert_same_searches(moves, loop, cx, k, budgets):
+    """min_contraction_moves, is_k_contractible just below the minimum (at
+    k when there is none) and contraction_certificate agree with the
+    oracle, call for call."""
+    path, calls = searched(moves, loop, cx, k, budgets)
+    m = path if path in (None, "budget") else len(path)
+    assert run(moves, H.min_contraction_moves, loop, cx, k, budgets) \
+        == (m, calls), loop
+
+    assert_same_verdict(moves, loop, cx,
+                        k if m in (None, "budget") else max(m - 1, 0),
+                        budgets)
+
+    assert run(moves, H.contraction_certificate, loop, cx, k, budgets) \
+        == searched(moves, loop, cx, k, budgets, weight=8,
+                    insertions=False), loop
+
+
+def shape(g):
+    """The underlying simple graph up to isomorphism."""
+    return min(tuple(sorted(tuple(sorted((p[u], p[v])))
+                            for u, v, _, _ in g.edges()))
+               for p in permutations(range(g.n)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_search_matches_rescanning_oracle_on_small_graphs(moves, n):
+    # Port numberings of one underlying graph differ only in the order of
+    # insert_backtrack's children (neighbors come in port order), so the
+    # first numbering of each shape takes every walk of WALK_STEPS steps
+    # and the others every walk of SHORT_WALK_STEPS: all of them would
+    # take minutes on the 59 numberings of k4.
+    shapes = set()
+    for g in canonical_graphs(n):
+        s = shape(g)
+        steps = SHORT_WALK_STEPS if s in shapes else WALK_STEPS
+        shapes.add(s)
+        cx = clique_complex(g)
+        for loop in all_closed_walks(g, steps):
+            assert_same_searches(moves, loop, cx, BOUND, DEFAULT_BUDGETS)
+
+
+@pytest.mark.parametrize("name", ["rp2", "icosahedron"])
+def test_search_matches_rescanning_oracle_on_surface_cycles(moves, name):
+    g = graph(name)
+    cx = clique_complex(g)
+    cycles = random.Random(20151).sample(H.simple_cycles(g), SAMPLE_CYCLES)
+    for cyc in cycles:
+        assert_same_searches(moves, cyc, cx, CERTIFICATE_MOVES,
+                             SAMPLE_BUDGETS)
+        for k in SAMPLE_VERDICT_BOUNDS:
+            assert_same_verdict(moves, cyc, cx, k, SAMPLE_BUDGETS)
+
+
+def test_shared_certificate_moves(k4):
+    cx = clique_complex(k4)
+    a = H.contraction_certificate((0, 1, 2, 3, 0), cx, 4)
+    b = H.contraction_certificate((0, 1, 2, 3, 0), cx, 4)
+    assert a and a == b
+    assert all(x[0] is y[0] for x, y in zip(a, b))

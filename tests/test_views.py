@@ -34,6 +34,12 @@ def test_depth_zero_view_is_single_labelled_node(k3):
     assert node_count(t) == 1
 
 
+@pytest.mark.parametrize("v", [-1, 3])
+def test_vertex_outside_the_graph_is_rejected(v):
+    with pytest.raises(ValueError, match=f"vertex {v} .*3-vertex"):
+        view(graph("p3"), v, 1)
+
+
 def test_p2_view_is_a_path(p2):
     t = view(p2, 0, 2)
     assert node_count(t) == 3  # u, u->v, u->v->u
