@@ -11,32 +11,30 @@ phased exploring agent itself, and a CLI harness.
 """
 
 from .complexes import (CliqueComplex, clique_complex, coverings_agree,
-                        format_complex, is_graph_covering,
-                        is_simplicial_covering, is_simplicial_map)
+                        is_graph_covering, is_simplicial_covering,
+                        is_simplicial_map)
 from .config import DEFAULT_BUDGETS, Budgets
-from .cover import (Classification, CoverResult, classify, graphs_isomorphic,
-                    isomorphism, universal_cover)
-from .enumeration import (Candidate, canonical_graphs, enumerate_port_graphs,
-                          find_candidate, raw_graphs)
+from .cover import (Classification, CoverResult, classify, isomorphism,
+                    universal_cover)
+from .enumeration import Candidate, canonical_graphs, find_candidate, raw_graphs
 from .errors import (BinoxError, BudgetExceeded, CatalogVerificationFailed,
-                     CoverVerificationFailed, DepthMismatch,
-                     EquivalenceViolation, GraphFormatError, InconsistentStar,
-                     InvalidMove, KernelFault, NotACovering, NotSimplicial,
+                     CoverVerificationFailed, EquivalenceViolation,
+                     GraphFormatError, InconsistentStar, InvalidMove,
+                     KernelFault, NotACovering, NotSimplicial,
                      SearchBudgetExceeded, UndefinedPort)
 from .explorer import (ExploreOutcome, LiftReport, PhasedAgent, RunResult,
                        StepRecord, agent_digest, explore, format_trace,
                        lift_check, reconstructed_projection, run_agent)
-from .graphs import (PortGraph, RadiusBall, ball, check_walk, dest,
-                     format_graph, format_vertex_map, load_graph,
-                     load_vertex_map, parse_graph, parse_vertex_map,
-                     port_word, save_graph, save_vertex_map)
-from .homotopy import (Move, all_simple_cycles_k_contractible, apply_move,
+from .graphs import (PortGraph, check_walk, dest, format_graph,
+                     format_vertex_map, load_graph, load_vertex_map,
+                     parse_graph, parse_vertex_map, port_map, port_word,
+                     save_graph, save_vertex_map)
+from .homotopy import (Move, all_simple_cycles_k_contractible,
                        contraction_certificate, contraction_sequence,
                        free_reduction, is_k_contractible,
                        min_contraction_moves, neighbor_moves, simple_cycles)
-from .views import (ViewInterner, ViewKey, ViewNode, ViewTree, fold_graph,
-                    fold_tree, format_view, node_count, reintern, same_view,
-                    truncate, view, view_eq, view_key)
+from .views import (ViewInterner, ViewKey, fold_graph, format_view, reintern,
+                    same_view, view_key)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -17,13 +17,14 @@ is the complete graph and its clique complex fills in.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
 from pathlib import Path
 from typing import Callable
 
 from .complexes import clique_complex, coverings_agree
 from .config import DEFAULT_BUDGETS, Budgets
-from .cover import classify, universal_cover
+from .cover import CoverResult, classify, universal_cover
 from .errors import CatalogVerificationFailed
 from .graphs import PortGraph, format_vertex_map, save_graph
 
@@ -119,11 +120,15 @@ def projective_plane() -> PortGraph:
     return graph_from_faces(11, PROJECTIVE_PLANE_FACES)
 
 
+@cache
+def _rp2_development() -> CoverResult:
+    """The projective plane's one development; its cover and map pair up."""
+    return universal_cover(projective_plane(), verify=False)
+
+
 def projective_plane_cover() -> PortGraph:
     """The development of the projective plane: a 22-vertex sphere."""
-    res = universal_cover(projective_plane(), verify=False)
-    assert res.cover is not None
-    return res.cover
+    return _rp2_development().cover
 
 
 @dataclass(frozen=True)
@@ -177,9 +182,7 @@ class MapEntry:
 
 
 def _rp2_projection() -> dict[int, int]:
-    res = universal_cover(projective_plane(), verify=False)
-    assert res.projection is not None
-    return dict(res.projection)
+    return dict(_rp2_development().projection)
 
 
 MAPS: tuple[MapEntry, ...] = (

@@ -20,22 +20,27 @@ from .errors import (BinoxError, BudgetExceeded, KernelFault,
                      SearchBudgetExceeded, UsageError)
 from .explorer import explore, lift_check
 from .graphs import (format_graph, format_vertex_map, load_graph,
-                     load_vertex_map, save_graph)
+                     load_vertex_map, read_text, save_graph)
 from .homotopy import contraction_sequence, is_k_contractible
-from .views import format_view, view
+from .views import ViewInterner, fold_graph, format_view
 
 
 def _hint_graphs(path: str):
     hints = []
-    with open(path, encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if line.startswith("catalog:"):
-                hints.append(cat.graph(line[len("catalog:"):]))
-            else:
-                hints.append(load_graph(line))
+    for lineno, raw in enumerate(read_text(path).splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if line.startswith("catalog:"):
+            name = line[len("catalog:"):]
+            if name not in cat.names():
+                raise UsageError(f"{path}: line {lineno}: no catalog graph "
+                                 f"named {name!r}")
+            hints.append(cat.graph(name))
+        elif "\0" in line:
+            raise UsageError(f"{path}: line {lineno}: NUL byte in a path")
+        else:
+            hints.append(load_graph(line))
     return hints
 
 
@@ -227,7 +232,8 @@ def cmd_view(args: argparse.Namespace) -> int:
     g = load_graph(args.graph)
     v = _vertex(g, args.vertex, "--vertex")
     depth = _nonnegative(args.depth, "--depth")
-    sys.stdout.write(format_view(view(g, v, depth)))
+    table = ViewInterner()
+    sys.stdout.write(format_view(table, fold_graph(g, v, depth, table), depth))
     return 0
 
 

@@ -96,13 +96,6 @@ def _check_total(f: dict[int, int], src: PortGraph, dst: PortGraph) -> None:
             raise NotSimplicial(f"image {f[u]} of vertex {u} out of range")
 
 
-def format_complex(cx: CliqueComplex) -> str:
-    """One simplex per line as sorted vertex indices, smallest first."""
-    lines = [" ".join(map(str, s))
-             for s in sorted(cx.simplices, key=lambda s: (len(s), s))]
-    return "\n".join(lines) + "\n"
-
-
 def is_simplicial_map(f: dict[int, int], src: CliqueComplex,
                       dst: CliqueComplex) -> bool:
     """Does f send every simplex of src onto a simplex of dst?"""

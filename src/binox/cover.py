@@ -19,11 +19,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .complexes import clique_complex, coverings_agree
+from .complexes import clique_complex, coverings_agree, is_graph_covering
 from .config import DEFAULT_BUDGETS, Budgets
 from .errors import (BudgetExceeded, CoverVerificationFailed, InconsistentStar,
                      SearchBudgetExceeded)
-from .graphs import PortGraph
+from .graphs import PortGraph, port_map
 
 # beyond this many cover vertices the cycle-based audit switches to the
 # development-idempotence certificate
@@ -203,30 +203,6 @@ def classify(g: PortGraph, budgets: Budgets = DEFAULT_BUDGETS) -> Classification
 # -- port-preserving isomorphism ------------------------------------------------
 
 
-def _anchored_map(g1: PortGraph, g2: PortGraph, a: int, b: int) -> dict[int, int] | None:
-    """The unique port-preserving map with a -> b, if one exists."""
-    if g1.degree(a) != g2.degree(b):
-        return None
-    f = {a: b}
-    queue = [a]
-    while queue:
-        u = queue.pop()
-        fu = f[u]
-        if g1.degree(u) != g2.degree(fu):
-            return None
-        for p in range(g1.degree(u)):
-            if g1.back_port(u, p) != g2.back_port(fu, p):
-                return None
-            v, w = g1.neighbor(u, p), g2.neighbor(fu, p)
-            if v in f:
-                if f[v] != w:
-                    return None
-            else:
-                f[v] = w
-                queue.append(v)
-    return f
-
-
 def isomorphism(g1: PortGraph, g2: PortGraph) -> dict[int, int] | None:
     """A port-preserving isomorphism, or None.
 
@@ -235,15 +211,9 @@ def isomorphism(g1: PortGraph, g2: PortGraph) -> dict[int, int] | None:
     """
     if g1.n != g2.n or g1.edge_count() != g2.edge_count():
         return None
-    from .complexes import is_graph_covering
     for b in g2.vertices:
-        f = _anchored_map(g1, g2, 0, b)
-        if f is None or len(set(f.values())) != g1.n:
-            continue
-        if is_graph_covering(f, g1, g2):
+        f = port_map(g1, 0, g2, b)
+        if (f is not None and len(set(f.values())) == g1.n
+                and is_graph_covering(f, g1, g2)):
             return f
     return None
-
-
-def graphs_isomorphic(g1: PortGraph, g2: PortGraph) -> bool:
-    return isomorphism(g1, g2) is not None

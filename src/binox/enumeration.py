@@ -23,8 +23,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import KernelFault
 from .graphs import PortGraph
-from .views import (ViewInterner, ViewKey, ViewTree, fold_graph, fold_tree,
-                    reintern, view_key)
+from .views import ViewInterner, ViewKey, fold_graph, reintern
 
 Pair = tuple[int, int]
 
@@ -116,12 +115,6 @@ def canonical_graphs(n: int) -> tuple[PortGraph, ...]:
     )
 
 
-def enumerate_port_graphs(n_max: int) -> Iterator[PortGraph]:
-    """Canonical connected port graphs with 1..n_max vertices, size order."""
-    for n in range(1, n_max + 1):
-        yield from canonical_graphs(n)
-
-
 # -- candidate search ---------------------------------------------------------
 
 
@@ -129,18 +122,6 @@ def enumerate_port_graphs(n_max: int) -> Iterator[PortGraph]:
 class Candidate:
     graph: PortGraph
     root: int
-
-
-def _normalize_target(target, table: ViewInterner | None):
-    if isinstance(target, ViewTree):
-        table = ViewInterner()
-        ident = fold_tree(target, table)
-        return view_key(table, ident, target.depth, False), table
-    if isinstance(target, ViewKey):
-        if table is None:
-            raise ValueError("a ViewKey target needs its interner table")
-        return target, table
-    raise TypeError(f"cannot search for {type(target).__name__}")
 
 
 def _root_matches(h: PortGraph, w: int, vk: ViewKey, table: ViewInterner) -> bool:
@@ -182,17 +163,16 @@ def _verify_match(h: PortGraph, w: int, vk: ViewKey, table: ViewInterner) -> Non
         )
 
 
-def find_candidate(target, k: int, mode: str = "exhaustive",
-                   hints: Iterable[PortGraph] = (),
-                   table: ViewInterner | None = None) -> Candidate | None:
+def find_candidate(vk: ViewKey, k: int, mode: str = "exhaustive",
+                   hints: Iterable[PortGraph] = (), *,
+                   table: ViewInterner) -> Candidate | None:
     """First (graph, root) with fewer than k vertices matching the view.
 
-    ``target`` is a ViewTree, or a ViewKey paired with its interner table.
+    ``vk`` is a folded view key; ``table`` is the interner that folded it.
     Exhaustive mode scans the raw stream by vertex count; hinted mode scans
     only the hint list, in order.  Either way the returned match has been
     re-verified structurally.
     """
-    vk, table = _normalize_target(target, table)
     if mode == "hinted":
         for h in hints:
             if h.n >= k:

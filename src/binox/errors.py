@@ -34,10 +34,6 @@ class InvalidMove(BinoxError):
     """An agent emitted a port outside 0..deg-1 at its current position."""
 
 
-class DepthMismatch(BinoxError):
-    """Views of different depths were compared."""
-
-
 class NotSimplicial(BinoxError):
     """A vertex map does not send simplices to simplices."""
 

@@ -26,7 +26,7 @@ from .complexes import is_graph_covering
 from .config import DEFAULT_BUDGETS, Budgets
 from .enumeration import Candidate, find_candidate
 from .errors import BudgetExceeded, InvalidMove, KernelFault, NotACovering
-from .graphs import Label, PortGraph
+from .graphs import Label, PortGraph, port_map
 from .homotopy import all_simple_cycles_k_contractible
 from .views import ViewInterner, view_key
 
@@ -341,32 +341,9 @@ def format_trace(g: PortGraph, run: RunResult) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def reconstructed_projection(h: PortGraph, root: int, g: PortGraph,
-                             start: int) -> dict[int, int] | None:
-    """Map candidate vertices to the terrain vertices their walks reach.
-
-    Propagates port-by-port from root -> start; returns None if any two
-    walks to the same candidate vertex land on different terrain vertices
-    (the map would be path-dependent) or ports run out.
-    """
-    f = {root: start}
-    queue = [root]
-    head = 0
-    while head < len(queue):
-        u = queue[head]
-        head += 1
-        if h.degree(u) != g.degree(f[u]):
-            return None
-        for p in range(h.degree(u)):
-            w = h.neighbor(u, p)
-            img = g.neighbor(f[u], p)
-            if w in f:
-                if f[w] != img:
-                    return None
-            else:
-                f[w] = img
-                queue.append(w)
-    return f
+# reconstructed_projection(h, root, g, start): candidate vertices -> the
+# terrain vertices their walks from root reach; perfbench calls this name
+reconstructed_projection = port_map
 
 
 # -- lifting ---------------------------------------------------------------------

@@ -13,7 +13,6 @@ port-labeled closed neighborhoods are isomorphic over the identity on ports.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Iterator
 
@@ -36,6 +35,12 @@ class PortGraph:
     def __init__(self, n: int, edges: Iterable[Edge]):
         if n < 1:
             raise GraphFormatError("graph needs at least one vertex")
+        edges = list(edges)
+        if n > len(edges) + 1:  # before allocating n per-vertex tables
+            raise GraphFormatError(
+                f"graph is disconnected ({len(edges)} edges cannot connect "
+                f"{n} vertices)"
+            )
         half: list[dict[int, tuple[int, int]]] = [dict() for _ in range(n)]
         seen_pairs: set[tuple[int, int]] = set()
         for u, v, pu, pv in edges:
@@ -191,6 +196,32 @@ def port_word(g: PortGraph, walk: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(g.port_to(walk[i], walk[i + 1]) for i in range(len(walk) - 1))
 
 
+def port_map(src: PortGraph, a: int, dst: PortGraph,
+             b: int) -> dict[int, int] | None:
+    """The map V(src) -> V(dst) with a -> b that commutes with ports.
+
+    Propagates port by port from a: the port-p neighbor of u goes to the
+    port-p neighbor of u's image.  Returns None if two walks to one src
+    vertex land on different dst vertices (the map would be path-dependent)
+    or ports run out (a vertex and its image differ in degree).  Back ports
+    and labels are not compared; a covering check does that.
+    """
+    f = {a: b}
+    queue = [a]
+    for u in queue:  # grows while iterated: breadth-first order
+        here, there = src._adj[u], dst._adj[f[u]]
+        if len(here) != len(there):
+            return None
+        for w, img in zip(here, there):
+            if w in f:
+                if f[w] != img:
+                    return None
+            else:
+                f[w] = img
+                queue.append(w)
+    return f
+
+
 def check_walk(g: PortGraph, walk: tuple[int, ...], *, closed: bool = False,
                stationary_ok: bool = False) -> None:
     """Raise GraphFormatError unless walk is a valid vertex sequence.
@@ -213,49 +244,6 @@ def check_walk(g: PortGraph, walk: tuple[int, ...], *, closed: bool = False,
         raise GraphFormatError(
             f"loop does not close: starts at {walk[0]}, ends at {walk[-1]}"
         )
-
-
-# -- radius balls --------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RadiusBall:
-    """Induced subgraph on the radius-r neighborhood of root.
-
-    Ports are inherited from the host graph, so a ball is generally NOT a
-    valid PortGraph (interior vertices may have gaps in their port range).
-    ``edges`` holds host edges (u, v, pu, pv) with u < v, sorted.
-    """
-
-    root: int
-    radius: int
-    vertices: tuple[int, ...]
-    edges: tuple[Edge, ...]
-
-    def degree(self, v: int) -> int:
-        return sum(1 for u, w, _, _ in self.edges if v in (u, w))
-
-
-def ball(g: PortGraph, v: int, r: int) -> RadiusBall:
-    """Radius-r ball around v with host ports."""
-    if r < 0:
-        raise GraphFormatError("negative radius")
-    dist = {v: 0}
-    queue = deque([v])
-    while queue:
-        u = queue.popleft()
-        if dist[u] == r:
-            continue
-        for w in g.neighbors(u):
-            if w not in dist:
-                dist[w] = dist[u] + 1
-                queue.append(w)
-    verts = tuple(sorted(dist))
-    inside = set(verts)
-    edges = tuple(
-        e for e in g.edges() if e[0] in inside and e[1] in inside
-    )
-    return RadiusBall(root=v, radius=r, vertices=verts, edges=edges)
 
 
 # -- text format ----------------------------------------------------------------
@@ -309,9 +297,18 @@ def format_graph(g: PortGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def read_text(path: str) -> str:
+    """A file's contents; GraphFormatError naming the file if not UTF-8."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise GraphFormatError(
+            f"{path}: not UTF-8 text (byte {exc.start})") from None
+
+
 def load_graph(path: str) -> PortGraph:
-    with open(path, encoding="utf-8") as fh:
-        return parse_graph(fh.read())
+    return parse_graph(read_text(path))
 
 
 def save_graph(g: PortGraph, path: str) -> None:
@@ -351,8 +348,7 @@ def format_vertex_map(f: dict[int, int]) -> str:
 
 
 def load_vertex_map(path: str, src: PortGraph, dst: PortGraph) -> dict[int, int]:
-    with open(path, encoding="utf-8") as fh:
-        return parse_vertex_map(fh.read(), src, dst)
+    return parse_vertex_map(read_text(path), src, dst)
 
 
 def save_vertex_map(f: dict[int, int], path: str) -> None:

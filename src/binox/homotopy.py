@@ -118,14 +118,6 @@ def neighbor_moves(loop: Loop, cx: CliqueComplex,
     return out
 
 
-def apply_move(loop: Loop, move: Move, cx: CliqueComplex) -> Loop:
-    """Apply one move; ValueError if it is not available on this loop."""
-    for mv, nxt in neighbor_moves(loop, cx):
-        if mv == move:
-            return nxt
-    raise ValueError(f"move {move} not available on {loop}")
-
-
 def free_reduction(loop: Loop) -> tuple[Loop, int]:
     """Cancel stationary steps and backtracks; return (reduced, moves used).
 

@@ -5,12 +5,12 @@ decorated with the radius-1 label of the vertex reached and each tree edge
 with its (outgoing port, incoming port) pair.  It is exactly what an agent
 can know after exploring to distance k: vertex identities never appear.
 
-Walk trees of interesting depth are exponentially large, so everything here
-is memoized: trees are built with per-(vertex, remaining-depth) sharing (a
-DAG in memory, a tree semantically), and the ViewInterner hash-conses
-subtree shapes into small integer ids so whole-view equality is an integer
-comparison.  Interned ids are only meaningful within one table and at equal
-remaining depth; all code here respects that.
+Walk trees of interesting depth are exponentially large, so a view is only
+ever held folded: the ViewInterner hash-conses subtree shapes into small
+integer ids (per-(vertex, remaining-depth) memo while folding), so a view
+is a (table, id) pair and whole-view equality is an integer comparison.
+Interned ids are only meaningful within one table and at equal remaining
+depth; all code here respects that.
 """
 
 from __future__ import annotations
@@ -18,135 +18,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 
-from .errors import DepthMismatch
 from .graphs import Label, PortGraph
-
-# children entries are (out_port, in_port, child)
-ChildTuple = tuple[tuple[int, int, "ViewNode"], ...]
-
-
-@dataclass(frozen=True, eq=False)
-class ViewNode:
-    """One walk-tree node.  Identity equality; compare views with view_eq.
-
-    Structural == would recurse through the shared DAG and can go
-    exponential across separately built trees, so it is disabled.
-    """
-
-    label: Label
-    children: ChildTuple
-
-
-@dataclass(frozen=True, eq=False)
-class ViewTree:
-    root: ViewNode
-    depth: int
-
-
-def view(g: PortGraph, v: int, depth: int) -> ViewTree:
-    """Depth-``depth`` view from v, with subtree sharing."""
-    if not 0 <= v < g.n:
-        raise ValueError(f"vertex {v} out of range for a {g.n}-vertex graph")
-    if depth < 0:
-        raise ValueError("negative view depth")
-    memo: dict[tuple[int, int], ViewNode] = {}
-
-    def rec(u: int, rem: int) -> ViewNode:
-        got = memo.get((u, rem))
-        if got is not None:
-            return got
-        lab = g.label(u)
-        children: list[tuple[int, int, ViewNode]] = []
-        if rem > 0:
-            for p in range(lab[0]):
-                children.append(
-                    (p, g.back_port(u, p), rec(g.neighbor(u, p), rem - 1))
-                )
-        node = ViewNode(lab, tuple(children))
-        memo[(u, rem)] = node
-        return node
-
-    return ViewTree(rec(v, depth), depth)
-
-
-def view_eq(a: ViewTree, b: ViewTree) -> bool:
-    """Structural equality of two views of equal depth.
-
-    Pairwise memo keeps this polynomial in the DAG sizes even though the
-    trees themselves are exponential.
-    """
-    if a.depth != b.depth:
-        raise DepthMismatch(f"comparing views of depth {a.depth} and {b.depth}")
-    done: set[tuple[int, int]] = set()
-    stack = [(a.root, b.root)]
-    while stack:
-        x, y = stack.pop()
-        if x is y or (id(x), id(y)) in done:
-            continue
-        if x.label != y.label or len(x.children) != len(y.children):
-            return False
-        done.add((id(x), id(y)))
-        for (px, ix, cx), (py, iy, cy) in zip(x.children, y.children):
-            if px != py or ix != iy:
-                return False
-            stack.append((cx, cy))
-    return True
-
-
-def truncate(t: ViewTree, depth: int) -> ViewTree:
-    """The depth-``depth`` prefix of t (depth <= t.depth)."""
-    if depth > t.depth:
-        raise DepthMismatch(f"cannot extend a depth-{t.depth} view to {depth}")
-    if depth == t.depth:
-        return t
-    memo: dict[tuple[int, int], ViewNode] = {}
-
-    def rec(node: ViewNode, rem: int) -> ViewNode:
-        got = memo.get((id(node), rem))
-        if got is not None:
-            return got
-        if rem == 0:
-            out = ViewNode(node.label, ())
-        else:
-            out = ViewNode(
-                node.label,
-                tuple((p, q, rec(c, rem - 1)) for p, q, c in node.children),
-            )
-        memo[(id(node), rem)] = out
-        return out
-
-    return ViewTree(rec(t.root, depth), depth)
-
-
-def node_count(t: ViewTree) -> int:
-    """Number of walk-tree nodes, with tree multiplicities."""
-    memo: dict[int, int] = {}
-
-    def rec(node: ViewNode) -> int:
-        got = memo.get(id(node))
-        if got is not None:
-            return got
-        total = 1 + sum(rec(c) for _, _, c in node.children)
-        memo[id(node)] = total
-        return total
-
-    return rec(t.root)
-
-
-def format_view(t: ViewTree) -> str:
-    """Deterministic indented text.  Tree-sized output: small depths only."""
-    lines = [f"view depth={t.depth}"]
-
-    def rec(node: ViewNode, level: int, arc: str) -> None:
-        lines.append("  " * level + f"{arc} {node.label}")
-        for p, q, c in node.children:
-            rec(c, level + 1, f"[{p}|{q}]")
-
-    rec(t.root, 0, "[]")
-    return "\n".join(lines) + "\n"
-
-
-# -- hash-consing ----------------------------------------------------------------
 
 
 class ViewInterner:
@@ -196,6 +68,24 @@ class ViewInterner:
         return len(self._keys)
 
 
+def format_view(table: ViewInterner, ident: int, depth: int) -> str:
+    """Deterministic indented text of a folded full-mode view.
+
+    The walk tree is unfolded from the table's keys, so the output is
+    tree-sized: small depths only.
+    """
+    lines = [f"view depth={depth}"]
+
+    def rec(i: int, level: int, arc: str) -> None:
+        lab, children = table.key(i)
+        lines.append("  " * level + f"{arc} {lab}")
+        for p, q, c in children:
+            rec(c, level + 1, f"[{p}|{q}]")
+
+    rec(ident, 0, "[]")
+    return "\n".join(lines) + "\n"
+
+
 def fold_graph(g: PortGraph, v: int, depth: int, table: ViewInterner,
                nonbacktracking: bool = False) -> int:
     """Interned id of the depth-``depth`` (non-)backtracking walk tree at v.
@@ -203,7 +93,12 @@ def fold_graph(g: PortGraph, v: int, depth: int, table: ViewInterner,
     Full mode folds the complete walk tree.  Non-backtracking mode skips the
     entry port at every non-root node; by the free-reduction argument the two
     modes induce the same equality relation on (vertex, depth) pairs.
+    ValueError when v is not a vertex of g or depth is negative.
     """
+    if not 0 <= v < g.n:
+        raise ValueError(f"vertex {v} out of range for a {g.n}-vertex graph")
+    if depth < 0:
+        raise ValueError("negative view depth")
     memo: dict[tuple, int] = {}
 
     def rec(u: int, entry: int | None, rem: int) -> int:
@@ -224,23 +119,6 @@ def fold_graph(g: PortGraph, v: int, depth: int, table: ViewInterner,
         return ident
 
     return rec(v, None, depth)
-
-
-def fold_tree(t: ViewTree, table: ViewInterner) -> int:
-    """Interned id of an explicit view tree (full mode by construction)."""
-    memo: dict[int, int] = {}
-
-    def rec(node: ViewNode) -> int:
-        got = memo.get(id(node))
-        if got is not None:
-            return got
-        ident = table.intern(
-            (node.label, tuple((p, q, rec(c)) for p, q, c in node.children))
-        )
-        memo[id(node)] = ident
-        return ident
-
-    return rec(t.root)
 
 
 def reintern(src: ViewInterner, ident: int, dst: ViewInterner) -> int:

@@ -28,6 +28,17 @@ def small_graphs(n_max: int = 4) -> st.SearchStrategy[PortGraph]:
     return st.sampled_from(all_canonical(n_max))
 
 
+def walk_tree(g: PortGraph, v: int, depth: int) -> tuple:
+    """The depth-``depth`` view at v built naively as nested tuples
+    (label, ((out port, in port, subtree), ...)): no memo, no interning.
+    An independent oracle for folded views."""
+    children = ()
+    if depth > 0:
+        children = tuple((p, g.back_port(v, p), walk_tree(g, w, depth - 1))
+                         for p, w in enumerate(g.neighbors(v)))
+    return (g.label(v), children)
+
+
 @st.composite
 def graph_with_vertex(draw, n_max: int = 4):
     g = draw(small_graphs(n_max))

@@ -5,8 +5,8 @@ import pytest
 from binox.catalog import (ENTRIES, MAPS, cycle_graph, entry, graph,
                            graph_from_edges, names, verify_catalog,
                            vertex_map, write_catalog)
-from binox.complexes import clique_complex
-from binox.cover import classify, graphs_isomorphic
+from binox.complexes import clique_complex, is_graph_covering
+from binox.cover import classify, isomorphism
 from binox.graphs import load_graph, load_vertex_map
 
 
@@ -105,9 +105,22 @@ def test_committed_catalog_matches_builders():
     for e in ENTRIES:
         back = load_graph(str(root / f"{e.name}.g"))
         assert back.encoding() == e.build().encoding(), e.name
+    for m in MAPS:
+        f, src, dst = vertex_map(m.name)
+        path = root / f"{m.name.replace('_', '-')}.map"
+        assert load_vertex_map(str(path), src, dst) == f, m.name
+    assert len(list(root.glob("*.map"))) == len(MAPS)
 
 
 def test_isolated_builder_consistency():
     tri = graph_from_edges(3, [(0, 1), (1, 2), (0, 2)])
-    assert graphs_isomorphic(tri, tri)
+    assert isomorphism(tri, tri) is not None
     assert tri.edge_count() == 3
+
+
+def test_rp2_projection_is_returned_as_a_copy():
+    f, cover, base = vertex_map("rp2_cover_to_rp2")
+    f[0] = None
+    again, _, _ = vertex_map("rp2_cover_to_rp2")
+    assert again[0] is not None
+    assert is_graph_covering(again, cover, base)

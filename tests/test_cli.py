@@ -294,6 +294,41 @@ def test_bad_arguments_exit_two_with_one_error_line(capsys, argv):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+def _bad_files(tmp: Path) -> dict:
+    files = {
+        "unknown_hint": "# a catalog name that does not exist\ncatalog:k9\n",
+        "not_utf8_hints": b"catalog:k3\n\xff\xfe\n",
+        "not_utf8.g": b"v 2\ne 0 1 0 0 # \xe9t\xe9\n",
+        "not_utf8.map": b"m 0 0\n\x80\n",
+        "huge.g": "v 1000000000\n",
+    }
+    for name, body in files.items():
+        path = tmp / name
+        if isinstance(body, bytes):
+            path.write_bytes(body)
+        else:
+            path.write_text(body, encoding="utf-8")
+    return {name: str(tmp / name) for name in files}
+
+
+@pytest.mark.parametrize("argv, names", [
+    (("explore", g("k3"), "--hints", "unknown_hint"), "line 2"),
+    (("explore", g("k3"), "--hints", "not_utf8_hints"), "not_utf8_hints"),
+    (("explore", "not_utf8.g"), "not_utf8.g"),
+    (("classify", "not_utf8.g"), "not_utf8.g"),
+    (("cover-check", "not_utf8.g", g("p2"), m("c8-to-c4")), "not_utf8.g"),
+    (("cover-check", g("k4"), g("k4"), "not_utf8.map"), "not_utf8.map"),
+    (("classify", "huge.g"), "disconnected"),
+])
+def test_bad_files_exit_two_with_one_error_line(capsys, tmp_path, argv, names):
+    files = _bad_files(tmp_path)
+    code, out, err = run(capsys, *(files.get(a, a) for a in argv))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert names in err
+
+
 _token = st.one_of(st.integers(-3, 5).map(str), st.sampled_from(["", "a", " "]))
 
 
@@ -321,6 +356,77 @@ def _argv(draw):
 def test_fuzzed_arguments_exit_zero_or_two(capsys, argv):
     """The CLI contract: exit 0 (a verdict) or 2 (unusable input); the
     only exception allowed to escape is KernelFault."""
+    try:
+        code, _, err = run(capsys, *argv)
+    except KernelFault:
+        return
+    assert code in (0, 2)
+    if code == 2:
+        assert err.startswith("error:") and err.count("\n") == 1
+
+
+# -- fuzzed file contents -----------------------------------------------------------
+
+_field = st.one_of(
+    st.integers(-2, 4).map(str),
+    st.sampled_from(["-1000000000", "1000000000", str(10**40), "", "x",
+                     "1.5", "#"]),
+)
+
+
+def _record(tag: str, fields: int) -> st.SearchStrategy[str]:
+    return st.lists(_field, min_size=fields - 1, max_size=fields + 1).map(
+        lambda fs: " ".join([tag, *fs]))
+
+
+_line = st.one_of(_record("v", 1), _record("e", 4), _record("m", 2),
+                  st.text(max_size=6), st.just("# comment"))
+
+
+@st.composite
+def _file_bytes(draw, lines):
+    """Text of the given lines, sometimes with raw (maybe non-UTF-8) bytes
+    spliced in."""
+    data = "\n".join(draw(st.lists(lines, max_size=6))).encode("utf-8")
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.binary(min_size=1, max_size=3)) + data[at:]
+    return data
+
+
+_graph_lines = st.one_of(
+    _line, st.sampled_from((CATALOG / "p3.g").read_text().splitlines()))
+_hint_lines = st.one_of(
+    st.sampled_from(["catalog:k3", "catalog:p2", "catalog:", "catalog:k9",
+                     "catalog:K3", "no/such/file.g", "FUZZ_GRAPH"]),
+    st.text(max_size=8).map(lambda t: "catalog:" + t), _line)
+
+
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(graph=_file_bytes(_graph_lines), vmap=_file_bytes(_line),
+       hints=_file_bytes(_hint_lines),
+       cmd=st.sampled_from(["explore", "classify", "cover-check",
+                            "cover-check-map"]))
+def test_fuzzed_files_exit_zero_or_two(capsys, tmp_path, graph, vmap, hints,
+                                       cmd):
+    """Graph, map and hint files with bad records, huge and negative
+    integers, raw bytes and catalog lines: exit 0 or 2 with one error
+    line; only a KernelFault may escape."""
+    gpath, mpath, hpath = (tmp_path / "fuzz.g", tmp_path / "fuzz.map",
+                           tmp_path / "hints")
+    gpath.write_bytes(graph)
+    mpath.write_bytes(vmap)
+    hpath.write_bytes(hints.replace(b"FUZZ_GRAPH", str(gpath).encode()))
+    argv = {
+        "explore": ["explore", str(gpath), "--max-moves", "300"],
+        "classify": ["classify", str(gpath)],
+        "cover-check": ["cover-check", str(gpath), g("p3"), m("k4-identity")],
+        "cover-check-map": ["cover-check", g("k3"), g("k3"), str(mpath)],
+    }[cmd]
+    if cmd == "explore" and hints:
+        argv = ["explore", g("k3"), "--max-moves", "300", "--hints",
+                str(hpath)]
     try:
         code, _, err = run(capsys, *argv)
     except KernelFault:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 
 from binox.catalog import cycle_graph, graph, vertex_map
-from binox.complexes import (clique_complex, coverings_agree, format_complex,
+from binox.complexes import (clique_complex, coverings_agree,
                              is_graph_covering, is_simplicial_covering,
                              is_simplicial_map)
 from binox.config import Budgets
@@ -16,7 +16,7 @@ from binox.graphs import PortGraph
 
 from conftest import all_canonical, small_graphs
 
-K3_COMPLEX = "0\n1\n2\n0 1\n0 2\n1 2\n0 1 2\n"
+K3_COMPLEX = "0\n1\n2\n0 1\n0 2\n1 2\n0 1 2\n"  # one simplex a line
 
 # the two port classes of the triangle: same underlying complex, no
 # port-preserving map between them
@@ -199,8 +199,9 @@ def test_definitions_agree_on_every_small_map():
     assert hits > 0  # identities at minimum
 
 
-# -- serialization -------------------------------------------------------------------
+# -- golden ----------------------------------------------------------------------------
 
 
 def test_complex_serialization_golden(k3):
-    assert format_complex(clique_complex(k3)) == K3_COMPLEX
+    golden = {tuple(map(int, line.split())) for line in K3_COMPLEX.splitlines()}
+    assert clique_complex(k3).simplices == golden

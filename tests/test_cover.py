@@ -1,15 +1,16 @@
 """Universal-cover development, classification, and isomorphism."""
 
+from itertools import permutations
+
 import pytest
 from hypothesis import given, settings
 
 from binox.catalog import graph
 from binox.complexes import coverings_agree, is_graph_covering
 from binox.config import Budgets
-from binox.cover import (classify, graphs_isomorphic, isomorphism,
-                         universal_cover)
+from binox.cover import classify, isomorphism, universal_cover
 
-from conftest import graph_with_permutation, relabel, small_graphs
+from conftest import all_canonical, graph_with_permutation, relabel, small_graphs
 
 TIGHT = Budgets(cover_vertices=100)
 
@@ -21,7 +22,7 @@ def test_tree_is_its_own_cover():
     t = graph("tree7")
     res = universal_cover(t)
     assert res.finite and res.sheets == 1
-    assert graphs_isomorphic(res.cover, t)
+    assert isomorphism(res.cover, t) is not None
     assert res.projection == {v: v for v in t.vertices}
 
 
@@ -92,7 +93,7 @@ def test_development_idempotence_on_catalog():
         first = universal_cover(graph(name))
         again = universal_cover(first.cover)
         assert again.finite and again.sheets == 1, name
-        assert graphs_isomorphic(again.cover, first.cover), name
+        assert isomorphism(again.cover, first.cover) is not None, name
 
 
 def test_basepoint_independence_on_catalog():
@@ -102,7 +103,7 @@ def test_basepoint_independence_on_catalog():
         for b in list(g.vertices)[1:]:
             res = universal_cover(g, b)
             assert res.sheets == base0.sheets, name
-            assert graphs_isomorphic(res.cover, base0.cover), name
+            assert isomorphism(res.cover, base0.cover) is not None, name
 
 
 # -- classification -----------------------------------------------------------------
@@ -138,10 +139,30 @@ def test_relabeled_copies_are_isomorphic(gp):
 def test_triangle_port_classes_are_not_isomorphic():
     from binox.enumeration import canonical_graphs
     tri_a, tri_b = [g for g in canonical_graphs(3) if g.edge_count() == 3]
-    assert not graphs_isomorphic(tri_a, tri_b)
-    assert graphs_isomorphic(tri_a, tri_a)
+    assert isomorphism(tri_a, tri_b) is None
+    assert isomorphism(tri_a, tri_a) is not None
 
 
 def test_size_mismatch_is_never_isomorphic(p2, k3):
     assert isomorphism(p2, k3) is None
-    assert not graphs_isomorphic(k3, graph("k4"))
+    assert isomorphism(k3, graph("k4")) is None
+
+
+def test_isomorphism_agrees_with_permutation_search():
+    """Against trying every vertex permutation, on all canonical graphs on
+    <= 4 vertices and a relabeled copy of each."""
+    def renamed(g, p):
+        return tuple(sorted((p[u], p[v], pu, pv) if p[u] < p[v]
+                            else (p[v], p[u], pv, pu)
+                            for u, v, pu, pv in g.edges()))
+
+    graphs = all_canonical(4)
+    for g in graphs:
+        copy = relabel(g, tuple(reversed(range(g.n))))
+        for h in graphs + (copy,):
+            if (h.n, h.edge_count()) != (g.n, g.edge_count()):
+                continue
+            edges = h.encoding()[1]
+            brute = any(renamed(g, p) == edges
+                        for p in permutations(range(g.n)))
+            assert (isomorphism(g, h) is not None) == brute

@@ -7,10 +7,9 @@ from hypothesis import given, settings
 
 from binox.catalog import cycle_graph, graph
 from binox.enumeration import (Candidate, bfs_encoding, canonical_encoding,
-                               canonical_graphs, edge_sets,
-                               enumerate_port_graphs, find_candidate,
+                               canonical_graphs, edge_sets, find_candidate,
                                port_assignments, raw_graphs)
-from binox.views import ViewInterner, fold_graph, same_view, view, view_key
+from binox.views import ViewInterner, fold_graph, same_view, view_key
 
 from conftest import graph_with_permutation, relabel
 
@@ -50,8 +49,9 @@ def test_port_assignments_cover_all_orderings():
 
 
 def test_streams_are_deterministic():
-    a = [g.encoding() for g in enumerate_port_graphs(3)]
-    b = [g.encoding() for g in enumerate_port_graphs(3)]
+    a = [g.encoding() for n in (1, 2, 3) for g in canonical_graphs(n)]
+    b = [g.encoding() for n in (1, 2, 3)
+         for g in canonical_graphs.__wrapped__(n)]  # recomputed, not cached
     assert a == b
     assert ([g.encoding() for g in raw_graphs(3)]
             == [g.encoding() for g in raw_graphs(3)])
@@ -113,8 +113,15 @@ def test_canonical_encoding_is_iso_invariant(gp):
 # -- candidate search ---------------------------------------------------------------
 
 
+def search(g, v, depth, k, **kw):
+    """find_candidate on g's depth-``depth`` view at v, folded in a fresh table."""
+    table = ViewInterner()
+    vk = view_key(table, fold_graph(g, v, depth, table), depth)
+    return find_candidate(vk, k, table=table, **kw)
+
+
 def test_triangle_found_at_phase_four(k3):
-    got = find_candidate(view(k3, 0, 4), 4)
+    got = search(k3, 0, 4, 4)
     assert got is not None
     assert got.graph.n == 3
     assert canonical_encoding(got.graph) == canonical_encoding(k3)
@@ -122,33 +129,32 @@ def test_triangle_found_at_phase_four(k3):
 
 
 def test_single_edge_found_at_phase_three(p2):
-    got = find_candidate(view(p2, 0, 3), 3)
+    got = search(p2, 0, 3, 3)
     assert got is not None
     assert got.graph.n == 2
     assert canonical_encoding(got.graph) == canonical_encoding(p2)
 
 
 def test_square_view_has_no_small_candidate(c4):
-    assert find_candidate(view(c4, 0, 4), 4) is None
-    got = find_candidate(view(c4, 0, 4), 5)
+    assert search(c4, 0, 4, 4) is None
+    got = search(c4, 0, 4, 5)
     assert got is not None
     assert canonical_encoding(got.graph) == canonical_encoding(c4)
 
 
 def test_candidate_search_is_deterministic(k3):
-    a = find_candidate(view(k3, 1, 3), 4)
-    b = find_candidate(view(k3, 1, 3), 4)
+    a = search(k3, 1, 3, 4)
+    b = search(k3, 1, 3, 4)
     assert (a.graph.encoding(), a.root) == (b.graph.encoding(), b.root)
 
 
 def test_hinted_search_scans_hints_only(k3, k4):
-    target = view(k3, 0, 3)
-    got = find_candidate(target, 4, mode="hinted", hints=[k4, k3])
+    got = search(k3, 0, 3, 4, mode="hinted", hints=[k4, k3])
     assert got is not None
     assert got.graph.encoding() == k3.encoding()
     # a hint at or above the size bound is skipped
-    assert find_candidate(target, 3, mode="hinted", hints=[k3]) is None
-    assert find_candidate(target, 4, mode="hinted", hints=[k4]) is None
+    assert search(k3, 0, 3, 3, mode="hinted", hints=[k3]) is None
+    assert search(k3, 0, 3, 4, mode="hinted", hints=[k4]) is None
 
 
 def test_view_key_target_with_its_table(p2):
@@ -157,7 +163,7 @@ def test_view_key_target_with_its_table(p2):
     vk = view_key(table, ident, 3)
     got = find_candidate(vk, 3, table=table)
     assert got is not None and got.graph.n == 2
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):  # the table is required
         find_candidate(vk, 3)
 
 
@@ -165,7 +171,7 @@ def test_bad_targets_and_modes_rejected(k3):
     with pytest.raises(TypeError):
         find_candidate(k3, 4)
     with pytest.raises(ValueError):
-        find_candidate(view(k3, 0, 2), 4, mode="greedy")
+        search(k3, 0, 2, 4, mode="greedy")
 
 
 def test_candidate_is_earliest_in_stream_order():
@@ -173,7 +179,7 @@ def test_candidate_is_earliest_in_stream_order():
     # smallest; no tree on <= 3 vertices has a vertex with the cycle's
     # back-port pattern, so the winner is a 4-vertex tree
     c8 = cycle_graph(8)
-    got = find_candidate(view(c8, 0, 0), 9)
+    got = search(c8, 0, 0, 9)
     assert got is not None
     assert got.graph.n == 4
     assert sum(1 for _ in got.graph.edges()) == 3

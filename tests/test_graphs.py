@@ -1,13 +1,12 @@
-"""Port graphs: construction, labels, navigation, balls, file formats."""
+"""Port graphs: construction, labels, navigation, file formats."""
 
 import pytest
 from hypothesis import given, settings
 
 from binox.catalog import complete_graph, cycle_graph, graph, path_graph
 from binox.errors import GraphFormatError, UndefinedPort
-from binox.graphs import (PortGraph, ball, dest, format_graph,
-                          format_vertex_map, parse_graph, parse_vertex_map,
-                          port_word)
+from binox.graphs import (PortGraph, dest, format_graph, format_vertex_map,
+                          load_graph, parse_graph, parse_vertex_map, port_word)
 
 from conftest import graph_with_permutation, graph_with_vertex, relabel, small_graphs
 
@@ -44,6 +43,17 @@ def test_rejects_port_reuse():
 def test_rejects_disconnected():
     with pytest.raises(GraphFormatError, match="disconnected"):
         PortGraph(4, [(0, 1, 0, 0), (2, 3, 0, 0)])
+
+
+def test_huge_vertex_count_rejected_before_allocating(tmp_path):
+    # a billion per-vertex tables would exhaust memory; too few edges to
+    # connect that many vertices is caught first
+    path = tmp_path / "huge.g"
+    path.write_text("v 1000000000\n", encoding="utf-8")
+    with pytest.raises(GraphFormatError, match="disconnected"):
+        load_graph(str(path))
+    with pytest.raises(GraphFormatError, match="disconnected"):
+        PortGraph(10**9, [(0, 1, 0, 0)])
 
 
 def test_rejects_vertex_out_of_range():
@@ -139,31 +149,29 @@ def test_walk_label_and_reversal(gv):
     assert dest(g, walk[-1], back) == walk[0]
 
 
-# -- balls ------------------------------------------------------------------------
-
-
-def test_ball_radius_zero_is_single_vertex(k3):
-    b = ball(k3, 1, 0)
-    assert b.vertices == (1,) and b.edges == ()
+# -- the radius-1 ball, as the label records it -----------------------------------
 
 
 def test_ball_radius_one_in_c4_is_three_vertex_path(c4):
-    b = ball(c4, 0, 1)
-    assert len(b.vertices) == 3
-    assert len(b.edges) == 2
-    assert b.degree(0) == 2
+    deg, _back, nn = c4.label(0)
+    assert deg == 2  # two neighbours...
+    assert nn == ()  # ...not adjacent to each other: a 3-vertex path
 
 
 def test_ball_beyond_diameter_is_whole_graph(k4):
-    b = ball(k4, 2, 3)
-    assert b.vertices == tuple(k4.vertices)
-    assert len(b.edges) == k4.edge_count()
+    deg, _back, nn = k4.label(2)
+    assert deg + 1 == k4.n
+    assert deg + len(nn) == k4.edge_count()
 
 
-def test_ball_ports_are_inherited(c4):
-    b = ball(c4, 0, 1)
-    host = {e for e in c4.edges()}
-    assert set(b.edges) <= host
+def test_ball_ports_are_inherited(c4, k4):
+    for g in (c4, k4):
+        for v in g.vertices:
+            _deg, back, nn = g.label(v)
+            assert back == tuple(g.back_port(v, p) for p in range(g.degree(v)))
+            for i, j, pij, pji in nn:
+                wi, wj = g.neighbor(v, i), g.neighbor(v, j)
+                assert (g.port_to(wi, wj), g.port_to(wj, wi)) == (pij, pji)
 
 
 # -- graph file format --------------------------------------------------------------

@@ -10,10 +10,9 @@ from binox.complexes import clique_complex
 from binox.config import Budgets
 from binox.errors import BudgetExceeded, SearchBudgetExceeded
 from binox.homotopy import (Move, all_simple_cycles_k_contractible,
-                            apply_move, contraction_certificate,
-                            free_reduction, is_k_contractible,
-                            min_contraction_moves, neighbor_moves,
-                            simple_cycles)
+                            contraction_certificate, free_reduction,
+                            is_k_contractible, min_contraction_moves,
+                            neighbor_moves, simple_cycles)
 
 from conftest import (REVERSIBILITY_FAMILY, closed_walks, irreversible_moves,
                       small_graphs)
@@ -75,15 +74,17 @@ def test_expand_triangle_reroutes(k4x):
     assert (Move("expand_triangle", 0, (3,)), (0, 3, 1, 0)) in nbrs
 
 
-def test_apply_move_replays_neighbor(k3x):
-    loop = (0, 1, 2, 0)
-    for mv, nxt in neighbor_moves(loop, k3x):
-        assert apply_move(loop, mv, k3x) == nxt
+def test_moves_determine_their_results(k3x, k4x):
+    """A move names its result: replaying by move is well defined."""
+    for cx in (k3x, k4x):
+        for loop in ((0,), (0, 1, 0), (0, 1, 2, 0), (0, 0, 1, 2, 1, 0)):
+            moves = neighbor_moves(loop, cx)
+            assert len(dict(moves)) == len(moves)
 
 
-def test_apply_move_rejects_unavailable(c4x):
-    with pytest.raises(ValueError):
-        apply_move((0, 1, 0), Move("delete_triangle", 0, (1, 2)), c4x)
+def test_unavailable_move_is_not_offered(c4x):
+    move = Move("delete_triangle", 0, (1, 2))
+    assert move not in dict(neighbor_moves((0, 1, 0), c4x))
 
 
 def test_moves_preserve_basepoint_and_closedness(k4x):
@@ -182,7 +183,7 @@ def test_certificate_replays_to_trivial():
         assert cert is not None and len(cert) <= 14
         cur = loop
         for mv, nxt in cert:
-            cur = apply_move(cur, mv, cx)
+            cur = dict(neighbor_moves(cur, cx))[mv]
             assert cur == nxt
         assert cur == (loop[0],)
 

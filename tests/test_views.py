@@ -4,12 +4,10 @@ import pytest
 from hypothesis import given, settings
 
 from binox.catalog import cycle_graph, graph, vertex_map
-from binox.errors import DepthMismatch
-from binox.views import (ViewInterner, fold_graph, fold_tree, format_view,
-                         node_count, reintern, same_view, truncate, view,
-                         view_eq, view_key)
+from binox.views import (ViewInterner, fold_graph, format_view, reintern,
+                         same_view, view_key)
 
-from conftest import graph_with_vertex, small_graphs
+from conftest import graph_with_vertex, walk_tree
 
 K3_VIEW_DEPTH2 = (
     "view depth=2\n"
@@ -27,80 +25,77 @@ K3_VIEW_DEPTH2 = (
 
 
 def test_depth_zero_view_is_single_labelled_node(k3):
-    t = view(k3, 0, 0)
-    assert t.depth == 0
-    assert t.root.label == k3.label(0)
-    assert t.root.children == ()
-    assert node_count(t) == 1
+    table = ViewInterner()
+    ident = fold_graph(k3, 0, 0, table)
+    assert table.key(ident) == (k3.label(0), ())
+    assert format_view(table, ident, 0) == f"view depth=0\n[] {k3.label(0)}\n"
 
 
 @pytest.mark.parametrize("v", [-1, 3])
 def test_vertex_outside_the_graph_is_rejected(v):
     with pytest.raises(ValueError, match=f"vertex {v} .*3-vertex"):
-        view(graph("p3"), v, 1)
+        fold_graph(graph("p3"), v, 1, ViewInterner())
 
 
 def test_p2_view_is_a_path(p2):
-    t = view(p2, 0, 2)
-    assert node_count(t) == 3  # u, u->v, u->v->u
-    node = t.root
+    table = ViewInterner()
+    ident = fold_graph(p2, 0, 2, table)
     for _ in range(2):
-        assert len(node.children) == 1
-        node = node.children[0][2]
-    assert node.children == ()
+        _label, children = table.key(ident)
+        assert len(children) == 1
+        ident = children[0][2]
+    assert table.key(ident)[1] == ()
 
 
 def test_consistent_triangle_views_agree_everywhere(k3):
     for k in range(5):
-        base = view(k3, 0, k)
         for v in (1, 2):
-            assert view_eq(base, view(k3, v, k))
+            assert same_view(k3, 0, k3, v, k)
 
 
 def test_view_children_follow_ports(k4):
-    t = view(k4, 0, 1)
-    assert [p for p, _q, _c in t.root.children] == [0, 1, 2]
+    table = ViewInterner()
+    _label, children = table.key(fold_graph(k4, 0, 1, table))
+    assert [p for p, _q, _c in children] == [0, 1, 2]
 
 
 # -- equality ---------------------------------------------------------------------
 
 
 def test_view_eq_reflexive(k4):
-    t = view(k4, 2, 3)
-    assert view_eq(t, t)
-
-
-def test_view_eq_rejects_depth_mismatch(k3):
-    with pytest.raises(DepthMismatch):
-        view_eq(view(k3, 0, 2), view(k3, 0, 3))
+    assert same_view(k4, 2, k4, 2, 3)
 
 
 def test_c4_and_c8_vertices_indistinguishable():
     c4, c8 = cycle_graph(4), cycle_graph(8)
     for k in range(7):
-        assert view_eq(view(c4, 0, k), view(c8, 3, k))
+        assert same_view(c4, 0, c8, 3, k)
 
 
 def test_p2_endpoints_indistinguishable(p2):
-    assert view_eq(view(p2, 0, 1), view(p2, 1, 1))
+    assert same_view(p2, 0, p2, 1, 1)
 
 
 def test_distinguishable_vertices_differ(c4):
     p3 = graph("p3")
-    assert not view_eq(view(p3, 0, 2), view(p3, 1, 2))
+    assert not same_view(p3, 0, p3, 1, 2)
     # both roots have degree 2, but the path's ends show at depth 1
-    assert not view_eq(view(c4, 0, 3), view(p3, 1, 3))
+    assert not same_view(c4, 0, p3, 1, 3)
 
 
 # -- invariants --------------------------------------------------------------------
 
 
-@given(graph_with_vertex())
+@given(graph_with_vertex(), graph_with_vertex())
 @settings(max_examples=40)
-def test_deeper_view_restricts_to_shallower(gv):
-    g, v = gv
-    for k in range(3):
-        assert view_eq(truncate(view(g, v, k + 1), k), view(g, v, k))
+def test_deeper_view_restricts_to_shallower(a, b):
+    """Equal views at depth k + 1 are equal at depth k."""
+    g1, v1 = a
+    others = [(h, w) for h in (g1, b[0]) for w in h.vertices]
+    for g2, v2 in others:
+        for k in range(3):
+            if same_view(g1, v1, g2, v2, k + 1):
+                assert same_view(g1, v1, g2, v2, k)
 
 
 def walk_tree_size(g, v, k):
@@ -113,9 +108,12 @@ def walk_tree_size(g, v, k):
 @given(graph_with_vertex())
 @settings(max_examples=40)
 def test_node_count_matches_walk_count(gv):
+    """The rendered view has one line per walk-tree node, plus its header."""
     g, v = gv
+    table = ViewInterner()
     for k in range(4):
-        assert node_count(view(g, v, k)) == walk_tree_size(g, v, k)
+        text = format_view(table, fold_graph(g, v, k, table), k)
+        assert len(text.splitlines()) - 1 == walk_tree_size(g, v, k)
 
 
 def test_covering_preserves_views():
@@ -123,7 +121,7 @@ def test_covering_preserves_views():
         f, src, dst = vertex_map(name)
         for u in src.vertices:
             for k in range(3):
-                assert view_eq(view(src, u, k), view(dst, f[u], k))
+                assert same_view(src, u, dst, f[u], k)
 
 
 # -- folds -------------------------------------------------------------------------
@@ -135,8 +133,8 @@ def test_fold_equality_is_view_equality(a, b):
     g1, v1 = a
     g2, v2 = b
     for k in (0, 2, 3):
-        assert same_view(g1, v1, g2, v2, k) == view_eq(view(g1, v1, k),
-                                                       view(g2, v2, k))
+        assert same_view(g1, v1, g2, v2, k) == (walk_tree(g1, v1, k)
+                                                == walk_tree(g2, v2, k))
 
 
 @given(graph_with_vertex(), graph_with_vertex())
@@ -147,14 +145,6 @@ def test_nonbacktracking_fold_same_relation(a, b):
     for k in (2, 4):
         assert (same_view(g1, v1, g2, v2, k, nonbacktracking=True)
                 == same_view(g1, v1, g2, v2, k))
-
-
-@given(graph_with_vertex())
-@settings(max_examples=40)
-def test_fold_tree_agrees_with_fold_graph(gv):
-    g, v = gv
-    table = ViewInterner()
-    assert fold_tree(view(g, v, 3), table) == fold_graph(g, v, 3, table)
 
 
 def test_reintern_lands_on_native_fold(k3, k4):
@@ -187,8 +177,13 @@ def test_view_key_carries_root_and_child_labels(k3):
 
 
 def test_view_serialization_golden(k3):
-    assert format_view(view(k3, 0, 2)) == K3_VIEW_DEPTH2
+    table = ViewInterner()
+    assert format_view(table, fold_graph(k3, 0, 2, table), 2) == K3_VIEW_DEPTH2
 
 
 def test_view_serialization_deterministic(k4):
-    assert format_view(view(k4, 1, 3)) == format_view(view(k4, 1, 3))
+    """Equal views render equally, whatever else their tables hold."""
+    t1, t2 = ViewInterner(), ViewInterner()
+    fold_graph(graph("rp2"), 0, 3, t2)
+    assert (format_view(t1, fold_graph(k4, 1, 3, t1), 3)
+            == format_view(t2, fold_graph(k4, 1, 3, t2), 3))
