@@ -70,20 +70,52 @@ class PhasedAgent:
     # -- protocol ----------------------------------------------------------
 
     def act(self, obs: Observation) -> int | None:
+        """One move decision: descend to the next port of the top frame,
+        ascend through the entry port once it has none left, or end the
+        phase at home.
+
+        The top frame is always at the observed vertex, so its degree is
+        ``label[0]``.  A frame with no ports left keeps the ``next_port``
+        value it ran out at (``snapshot`` hashes that field).
+        """
         label, entry = obs
         if self.accepted is not None:
             return None
-        if self._descend_port is not None:
-            self.stack.append([self._descend_port, entry, label, [], 0])
+        stack = self.stack
+        p = self._descend_port
+        if p is not None:
+            frame = [p, entry, label, [], 0]
+            stack.append(frame)
             self._descend_port = None
-        elif not self.stack:
-            if self.k != 0:
-                raise KernelFault("agent has no frame mid-run")
+        elif stack:
+            frame = stack[-1]
+            if frame[2] != label:
+                raise KernelFault("label changed under the agent while ascending")
+        elif self.k != 0:
+            raise KernelFault("agent has no frame mid-run")
+        else:
             self.k = 1
-            self.stack.append([None, None, label, [], 0])
-        elif self.stack[-1][2] != label:
-            raise KernelFault("label changed under the agent while ascending")
-        return self._decide()
+            frame = [None, None, label, [], 0]
+            stack.append(frame)
+        while True:
+            if len(stack) <= 2 * self.k:
+                p = frame[4]
+                if self.nb and p == frame[1]:  # never at the root: entry None
+                    p += 1
+                if p < label[0]:
+                    frame[4] = p + 1
+                    self._descend_port = p
+                    return p
+                frame[4] = p
+            ident = self.table.intern((frame[2], tuple(frame[3])))
+            stack.pop()
+            if stack:
+                stack[-1][3].append((frame[0], frame[1], ident))
+                return frame[1]  # ascend through the port we entered by
+            if self._phase_end(ident):
+                return None
+            frame = [None, None, frame[2], [], 0]
+            stack.append(frame)
 
     def snapshot(self) -> tuple:
         """Agent state as compact plain data; input to the memory digest.
@@ -151,34 +183,6 @@ class PhasedAgent:
         return link.hex() if chain else None
 
     # -- internals ----------------------------------------------------------
-
-    def _decide(self) -> int | None:
-        while True:
-            frame = self.stack[-1]
-            if len(self.stack) - 1 < 2 * self.k:
-                p = self._next_port(frame)
-                if p is not None:
-                    self._descend_port = p
-                    return p
-            ident = self.table.intern((frame[2], tuple(frame[3])))
-            self.stack.pop()
-            if self.stack:
-                self.stack[-1][3].append((frame[0], frame[1], ident))
-                return frame[1]  # ascend through the port we entered by
-            if self._phase_end(ident):
-                return None
-            self.stack.append([None, None, frame[2], [], 0])
-
-    def _next_port(self, frame: list) -> int | None:
-        deg = frame[2][0]
-        p = frame[4]
-        while p < deg:
-            frame[4] = p + 1
-            if self.nb and frame[1] is not None and p == frame[1]:
-                p = frame[4]
-                continue
-            return p
-        return None
 
     def _phase_end(self, ident: int) -> bool:
         k = self.k
@@ -249,38 +253,50 @@ def run_agent(g: PortGraph, agent, start: int = 0,
               record: str = "none") -> RunResult:
     """Drive the agent until it halts or the move budget is exhausted.
 
-    ``record``: "none" (fast), "steps" (positions and actions), or
-    "digests" (additionally a sha256 memory digest per step).  A budget
-    exhaustion leaves the final decision unexecuted and is reported in the
-    result, never as an exception.
+    ``record``: "none", "steps" (positions and actions), or "digests"
+    (additionally a sha256 memory digest per step); one loop serves all
+    three.  Each move reads the graph's adjacency and back-port tuples
+    directly, and its cached label unless that is still unset.  An action
+    that is not an int (a bool included) or not a port of the current
+    vertex raises InvalidMove.  A budget exhaustion leaves the final
+    decision unexecuted and is reported in the result, never as an
+    exception.
     """
     if record not in ("none", "steps", "digests"):
         raise ValueError(f"unknown record level {record!r}")
     if not 0 <= start < g.n:
         raise InvalidMove(f"start vertex {start} out of range")
+    adj, back, labels, label_of = g._adj, g._back, g._labels, g.label
+    act = agent.act
     pos, entry, moves = start, None, 0
     visited = {start}
+    seen = visited.add
     steps: list[StepRecord] = []
+    recording = record != "none"
+    digests = record == "digests"
     while True:
-        action = agent.act((g.label(pos), entry))
-        if record != "none":
-            dg = agent_digest(agent) if record == "digests" else None
+        label = labels[pos]
+        if label is None:
+            label = label_of(pos)
+        action = act((label, entry))
+        if recording:
+            dg = agent_digest(agent) if digests else None
             steps.append(StepRecord(pos, entry, action, dg))
         if action is None:
             return RunResult(True, False, moves, start, pos,
                              frozenset(visited), tuple(steps))
-        deg = g.degree(pos)
-        if not isinstance(action, int) or not 0 <= action < deg:
+        nbrs = adj[pos]
+        if type(action) is not int or not 0 <= action < len(nbrs):
             raise InvalidMove(
-                f"agent chose port {action!r} at a degree-{deg} vertex"
+                f"agent chose port {action!r} at a degree-{len(nbrs)} vertex"
             )
         if moves >= move_budget:
             return RunResult(False, True, moves, start, pos,
                              frozenset(visited), tuple(steps))
-        entry = g.back_port(pos, action)
-        pos = g.neighbor(pos, action)
+        entry = back[pos][action]
+        pos = nbrs[action]
         moves += 1
-        visited.add(pos)
+        seen(pos)
 
 
 @dataclass(frozen=True)

@@ -75,14 +75,13 @@ def format_view(table: ViewInterner, ident: int, depth: int) -> str:
     tree-sized: small depths only.
     """
     lines = [f"view depth={depth}"]
-
-    def rec(i: int, level: int, arc: str) -> None:
+    stack = [(ident, 0, "[]")]  # pre-order: a node, then its subtrees
+    while stack:
+        i, level, arc = stack.pop()
         lab, children = table.key(i)
         lines.append("  " * level + f"{arc} {lab}")
-        for p, q, c in children:
-            rec(c, level + 1, f"[{p}|{q}]")
-
-    rec(ident, 0, "[]")
+        stack.extend((c, level + 1, f"[{p}|{q}]")
+                     for p, q, c in reversed(children))
     return "\n".join(lines) + "\n"
 
 
@@ -94,47 +93,85 @@ def fold_graph(g: PortGraph, v: int, depth: int, table: ViewInterner,
     entry port at every non-root node; by the free-reduction argument the two
     modes induce the same equality relation on (vertex, depth) pairs.
     ValueError when v is not a vertex of g or depth is negative.
+
+    Subtrees are memoized per (vertex, remaining depth), plus the entry port
+    in non-backtracking mode, and interned children first in port order.
+    The fold keeps its own stack of open nodes, so any depth folds.
     """
     if not 0 <= v < g.n:
         raise ValueError(f"vertex {v} out of range for a {g.n}-vertex graph")
     if depth < 0:
         raise ValueError("negative view depth")
+    adj, back, label, intern = g._adj, g._back, g.label, table.intern
+    nb = nonbacktracking
     memo: dict[tuple, int] = {}
-
-    def rec(u: int, entry: int | None, rem: int) -> int:
-        mk = (u, entry, rem) if nonbacktracking else (u, rem)
-        got = memo.get(mk)
-        if got is not None:
-            return got
-        lab = g.label(u)
-        children: list[tuple[int, int, int]] = []
-        if rem > 0:
-            for p in range(lab[0]):
-                if nonbacktracking and entry is not None and p == entry:
-                    continue
-                bp = g.back_port(u, p)
-                children.append((p, bp, rec(g.neighbor(u, p), bp, rem - 1)))
-        ident = table.intern((lab, tuple(children)))
+    # the open node is held in locals: its memo key, vertex, entry port,
+    # its children's remaining depth, label, folded children, next port and
+    # port count; its ancestors wait on the stack
+    stack: list[tuple] = []
+    mk = (v, None, depth) if nb else (v, depth)
+    u, entry, r = v, None, depth - 1
+    lab = label(v)
+    children: list[tuple[int, int, int]] = []
+    p, deg = 0, lab[0] if depth else 0
+    while True:
+        if p < deg:
+            if nb and p == entry:  # never at the root: entry None
+                p += 1
+                continue
+            w, bp = adj[u][p], back[u][p]
+            ck = (w, bp, r) if nb else (w, r)
+            got = memo.get(ck)
+            if got is not None:
+                children.append((p, bp, got))
+                p += 1
+                continue
+            stack.append((mk, u, entry, r, lab, children, p, deg, bp))
+            mk, u, entry, r = ck, w, bp, r - 1
+            lab = label(w)
+            children = []
+            p, deg = 0, lab[0] if r >= 0 else 0
+            continue
+        ident = intern((lab, tuple(children)))
         memo[mk] = ident
-        return ident
-
-    return rec(v, None, depth)
+        if not stack:
+            return ident
+        mk, u, entry, r, lab, children, p, deg, bp = stack.pop()
+        children.append((p, bp, ident))
+        p += 1
 
 
 def reintern(src: ViewInterner, ident: int, dst: ViewInterner) -> int:
-    """Re-fold an interned shape into another table; id in dst's numbering."""
+    """Re-fold an interned shape into another table; id in dst's numbering.
+
+    Shapes enter dst children first, in port order, each once.
+    """
     memo: dict[int, int] = {}
-
-    def rec(i: int) -> int:
-        got = memo.get(i)
-        if got is not None:
+    stack: list[tuple] = []  # ancestors of the open shape i
+    i = ident
+    lab, kids = src.key(i)
+    out: list[tuple[int, int, int]] = []
+    j = 0
+    while True:
+        if j < len(kids):
+            p, q, c = kids[j]
+            got = memo.get(c)
+            if got is not None:
+                out.append((p, q, got))
+                j += 1
+                continue
+            stack.append((i, lab, kids, out, j))
+            i = c
+            lab, kids = src.key(c)
+            out, j = [], 0
+            continue
+        got = dst.intern((lab, tuple(out)))
+        memo[i] = got
+        if not stack:
             return got
-        lab, children = src.key(i)
-        out = dst.intern((lab, tuple((p, q, rec(c)) for p, q, c in children)))
-        memo[i] = out
-        return out
-
-    return rec(ident)
+        i, lab, kids, out, j = stack.pop()
+        out.append((kids[j][0], kids[j][1], got))
+        j += 1
 
 
 @dataclass(frozen=True)

@@ -233,6 +233,14 @@ def test_view_golden(capsys):
                    "    [0|0] (1, (0,), ())\n")
 
 
+def test_view_deeper_than_the_recursion_limit(capsys):
+    code, out, _ = run(capsys, "view", g("p2"), "--depth", "1200")
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == 1202
+    assert lines[-1] == "  " * 1200 + "[0|0] (1, (0,), ())"
+
+
 def test_enumerate_counts(capsys):
     code, out, _ = run(capsys, "enumerate", "--n-max", "3", "--count-only")
     assert code == 0

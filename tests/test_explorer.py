@@ -58,11 +58,13 @@ def test_scripted_round_trip(p2):
     assert run.visited == frozenset({0, 1})
 
 
-def test_port_out_of_range_faults(p2):
+def test_port_out_of_range_faults(p2, k3):
     with pytest.raises(InvalidMove):
         run_agent(p2, Scripted([5]))
     with pytest.raises(InvalidMove):
         run_agent(p2, Scripted(["0"]))
+    with pytest.raises(InvalidMove):  # bool is an int subclass, not a port
+        run_agent(k3, Scripted([True]))
 
 
 def test_start_out_of_range_faults(p2):

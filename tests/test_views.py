@@ -3,11 +3,11 @@
 import pytest
 from hypothesis import given, settings
 
-from binox.catalog import cycle_graph, graph, vertex_map
+from binox.catalog import cycle_graph, graph, names, vertex_map
 from binox.views import (ViewInterner, fold_graph, format_view, reintern,
                          same_view, view_key)
 
-from conftest import graph_with_vertex, walk_tree
+from conftest import all_canonical, graph_with_vertex, walk_tree
 
 K3_VIEW_DEPTH2 = (
     "view depth=2\n"
@@ -171,6 +171,86 @@ def test_view_key_carries_root_and_child_labels(k3):
     assert key.depth == 2
     assert key.root_label == k3.label(0)
     assert key.child_labels == (k3.label(1), k3.label(2))
+
+
+def recursive_fold(g, v, depth, table, nonbacktracking=False):
+    """fold_graph as one call per walk-tree node (the earlier form)."""
+    memo = {}
+
+    def rec(u, entry, rem):
+        mk = (u, entry, rem) if nonbacktracking else (u, rem)
+        if mk not in memo:
+            children = []
+            for p in range(g.degree(u) if rem > 0 else 0):
+                if nonbacktracking and entry is not None and p == entry:
+                    continue
+                bp = g.back_port(u, p)
+                children.append((p, bp, rec(g.neighbor(u, p), bp, rem - 1)))
+            memo[mk] = table.intern((g.label(u), tuple(children)))
+        return memo[mk]
+
+    return rec(v, None, depth)
+
+
+def recursive_reintern(src, ident, dst):
+    memo = {}
+
+    def rec(i):
+        if i not in memo:
+            lab, children = src.key(i)
+            memo[i] = dst.intern((lab, tuple((p, q, rec(c))
+                                             for p, q, c in children)))
+        return memo[i]
+
+    return rec(ident)
+
+
+def recursive_format(table, ident, depth):
+    lines = [f"view depth={depth}"]
+
+    def rec(i, level, arc):
+        lab, children = table.key(i)
+        lines.append("  " * level + f"{arc} {lab}")
+        for p, q, c in children:
+            rec(c, level + 1, f"[{p}|{q}]")
+
+    rec(ident, 0, "[]")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("nonbacktracking", (False, True))
+def test_folds_match_the_recursive_fold(nonbacktracking):
+    """Same ids, same table contents in the same order, same re-interned
+    ids and same text as the recursive functions, on every canonical graph
+    on at most 4 vertices and every catalog terrain, from every vertex."""
+    terrains = all_canonical(4) + tuple(graph(name) for name in names())
+    seed = graph("k3")
+    for g in terrains:
+        for depth in (0, 1, 2, 4):
+            got, want = ViewInterner(), ViewInterner()
+            ids = [fold_graph(g, v, depth, got, nonbacktracking)
+                   for v in g.vertices]
+            assert ids == [recursive_fold(g, v, depth, want, nonbacktracking)
+                           for v in g.vertices]
+            assert got.digest() == want.digest()
+            got2, want2 = ViewInterner(), ViewInterner()
+            fold_graph(seed, 0, 2, got2)  # dst already holds other shapes
+            recursive_fold(seed, 0, 2, want2)
+            assert ([reintern(got, i, got2) for i in reversed(ids)]
+                    == [recursive_reintern(want, i, want2)
+                        for i in reversed(ids)])
+            assert got2.digest() == want2.digest()
+            if depth <= 2 and not nonbacktracking:
+                assert all(format_view(got, i, depth)
+                           == recursive_format(want, i, depth) for i in ids)
+
+
+def test_fold_deeper_than_the_recursion_limit(p2):
+    """p2's depth-d view is a path: one new shape per depth."""
+    table = ViewInterner()
+    ident = fold_graph(p2, 0, 5000, table)
+    assert ident == 5000 and len(table) == 5001
+    assert reintern(table, ident, ViewInterner()) == 5000
 
 
 # -- serialization ------------------------------------------------------------------
