@@ -1,11 +1,12 @@
 """Run the exploration agent over catalog terrains and tabulate outcomes.
 
 The default set pairs the four terrains whose universal covers are small
-enough to halt on with the four that exhaust any budget.  Terrains of six
-or more vertices only halt in hinted mode (--hinted feeds each terrain
-its own description): an exhaustive phase k scans every terrain on fewer
-than k vertices, which stops being enumerable past k = 6.  The octahedron
-needs --hinted --walk nonbacktracking --budget 30000000 to halt.
+enough to halt on with the four that exhaust any budget.  Each phase end
+develops the universal cover from the agent's view, so a terrain halts
+once its walk reaches the phase above its cover's size: tree7 at phase 8
+(94 moves with --walk nonbacktracking, 272,896 with the full walk), the
+octahedron at phase 7 with --walk nonbacktracking --budget 30000000.
+--hinted feeds each terrain its own description as the only candidate.
 
 Run: python3 scripts/explore_report.py [names...] [--budget N] [--hinted]
 """

@@ -28,7 +28,7 @@ from .explorer import (ExploreOutcome, LiftReport, PhasedAgent, RunResult,
 from .graphs import (PortGraph, check_walk, dest, format_graph,
                      format_vertex_map, load_graph, load_vertex_map,
                      parse_graph, parse_vertex_map, port_map, port_word,
-                     save_graph, save_vertex_map)
+                     save_graph)
 from .homotopy import (Move, all_simple_cycles_k_contractible,
                        contraction_certificate, contraction_sequence,
                        free_reduction, is_k_contractible,

@@ -17,6 +17,7 @@ or just too large, reported as a verdict rather than an error.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from .complexes import clique_complex, coverings_agree, is_graph_covering
@@ -44,19 +45,25 @@ class CoverResult:
         return self.status == "finite"
 
 
-def _develop(g: PortGraph, base: int, budget: int):
-    """Star completion.  Returns (lift, ladj) or None past the budget.
+def develop(label, neighbor, root, budget: int, same=operator.eq):
+    """Star completion over a vertex source.  Returns (lift, ladj), or None
+    when a fresh vertex would pass the budget or the source's horizon.
 
-    lift[i] is the base vertex under lifted vertex i; ladj[i] maps each
-    port of i to a lifted neighbor.  Deterministic: lifted vertices are
-    completed in creation order, ports in ascending order.
+    The source is two functions on its nodes: ``label(x)`` and
+    ``neighbor(x, p)``, the node reached through port p (None past the
+    horizon).  The nodes of a port graph are its vertices, compared
+    exactly; a view's nodes are its interned ids, which ``same`` compares
+    by label, since ids at different remaining depths are unrelated.
+    lift[i] is the node under lifted vertex i; ladj[i] maps each port of
+    i to a lifted neighbor.  Deterministic: lifted vertices are completed
+    in creation order, ports in ascending order.
     """
-    lift: list[int] = [base]
+    lift: list = [root]
     ladj: list[dict[int, int]] = [dict()]
     i = 0
     while i < len(lift):
         v = lift[i]
-        deg, back, nn = g.label(v)
+        deg, back, nn = label(v)
         me = ladj[i]
         # identifications forced by triangles through existing neighbors
         changed = True
@@ -68,11 +75,11 @@ def _develop(g: PortGraph, base: int, budget: int):
                         c = ladj[me[a_port]].get(a_to_b)
                         if c is None:
                             continue
-                        if lift[c] != g.neighbor(v, b_port):
+                        want = neighbor(v, b_port)
+                        if want is not None and not same(lift[c], want):
                             raise InconsistentStar(
                                 f"lifted {i} over {v}: port {b_port} forced onto "
-                                f"a vertex over {lift[c]}, expected over "
-                                f"{g.neighbor(v, b_port)}"
+                                f"a vertex over {lift[c]}, expected over {want}"
                             )
                         if back[b_port] in ladj[c] and ladj[c][back[b_port]] != i:
                             raise InconsistentStar(
@@ -85,10 +92,11 @@ def _develop(g: PortGraph, base: int, budget: int):
         # fresh vertices for genuinely undetermined ports
         for p in range(deg):
             if p not in me:
-                if len(lift) >= budget:
+                w = neighbor(v, p)
+                if w is None or len(lift) >= budget:
                     return None
                 j = len(lift)
-                lift.append(g.neighbor(v, p))
+                lift.append(w)
                 ladj.append({back[p]: i})
                 me[p] = j
         # neighbor-neighbor edges dictated by the label
@@ -104,9 +112,17 @@ def _develop(g: PortGraph, base: int, budget: int):
                 ladj[b][qp] = a
         i += 1
     for idx, v in enumerate(lift):
-        if len(ladj[idx]) != g.degree(v):
+        if len(ladj[idx]) != label(v)[0]:
             raise InconsistentStar(f"lifted {idx} over {v} left incomplete")
     return lift, ladj
+
+
+def lifted_graph(lift: list, ladj: list[dict[int, int]], label) -> PortGraph:
+    """The port graph of a closed development; back ports from the labels."""
+    return PortGraph(len(lift), [
+        (i, j, p, label(lift[i])[1][p])
+        for i in range(len(lift)) for p, j in ladj[i].items() if i < j
+    ])
 
 
 def universal_cover(g: PortGraph, base: int = 0, verify: bool = True,
@@ -121,18 +137,13 @@ def universal_cover(g: PortGraph, base: int = 0, verify: bool = True,
     """
     if not 0 <= base < g.n:
         raise ValueError(f"base {base} out of range for a {g.n}-vertex graph")
-    dev = _develop(g, base, budgets.cover_vertices)
+    dev = develop(g.label, g.neighbor, base, budgets.cover_vertices)
     if dev is None:
         return CoverResult("budget_exceeded", None, None, None, base,
                            explored=budgets.cover_vertices)
     lift, ladj = dev
     n_cov = len(lift)
-    edges = []
-    for i in range(n_cov):
-        for p, j in ladj[i].items():
-            if i < j:
-                edges.append((i, j, p, g.back_port(lift[i], p)))
-    cover = PortGraph(n_cov, edges)
+    cover = lifted_graph(lift, ladj, g.label)
     projection = {i: lift[i] for i in range(n_cov)}
     fiber_sizes = [lift.count(v) for v in g.vertices]
     if len(set(fiber_sizes)) != 1 or n_cov != fiber_sizes[0] * g.n:
@@ -179,7 +190,7 @@ def _simply_connected(cover: PortGraph, budgets: Budgets) -> bool:
             return True
         except (BudgetExceeded, SearchBudgetExceeded):
             pass  # fall through to the idempotence certificate
-    again = _develop(cover, 0, cover.n + 1)
+    again = develop(cover.label, cover.neighbor, 0, cover.n + 1)
     return again is not None and len(again[0]) == cover.n
 
 

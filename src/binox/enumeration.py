@@ -7,11 +7,15 @@ canonical stream keeps one representative per port-preserving isomorphism
 class: the labeled graph whose encoding equals the minimum port-driven BFS
 encoding over all basepoints.
 
-Candidate search scans the raw stream in size order and returns the first
-(graph, root) whose view at the requested depth equals the target view;
-because the order is fixed this is deterministic, and because views are
-folded into interned ids the comparison per candidate is cheap after some
-sound label prefilters.
+Candidate search turns a folded view into at most one candidate terrain.
+Exhaustive mode develops the universal cover straight from the view by the
+star completion of ``cover.develop``: a lifted vertex holds a view node and
+a fresh port reads that node's child.  Views of depth n - 1 determine a
+terrain's universal cover (Norris 1995), so this is the one candidate that
+can pass the halting test.  Hinted mode scans a given list of graphs and
+returns the first (graph, root) whose view equals the target.  Either way
+the candidate is re-folded into a fresh table and compared before it is
+returned.
 """
 
 from __future__ import annotations
@@ -21,8 +25,9 @@ from functools import lru_cache
 from itertools import combinations, permutations, product
 from typing import Iterable, Iterator, Sequence
 
+from .cover import develop, lifted_graph
 from .errors import KernelFault
-from .graphs import PortGraph
+from .graphs import Label, PortGraph
 from .views import ViewInterner, ViewKey, fold_graph, reintern
 
 Pair = tuple[int, int]
@@ -134,24 +139,6 @@ def _root_matches(h: PortGraph, w: int, vk: ViewKey, table: ViewInterner) -> boo
     return fold_graph(h, w, vk.depth, table, vk.nonbacktracking) == vk.ident
 
 
-def _profile_admits(n: int, eset: Sequence[Pair], root_deg: int,
-                    child_degs: tuple[int, ...]) -> bool:
-    """Can some vertex of this edge set have the root's degree and the
-    root's sorted neighbor-degree multiset?  Sound reject before paying for
-    port assignments."""
-    deg = [0] * n
-    nbrs = [[] for _ in range(n)]
-    for u, v in eset:
-        deg[u] += 1
-        deg[v] += 1
-        nbrs[u].append(v)
-        nbrs[v].append(u)
-    for v in range(n):
-        if deg[v] == root_deg and tuple(sorted(deg[w] for w in nbrs[v])) == child_degs:
-            return True
-    return False
-
-
 def _verify_match(h: PortGraph, w: int, vk: ViewKey, table: ViewInterner) -> None:
     """Independent re-fold into a fresh table; guards against id aliasing."""
     fresh = ViewInterner()
@@ -166,12 +153,14 @@ def _verify_match(h: PortGraph, w: int, vk: ViewKey, table: ViewInterner) -> Non
 def find_candidate(vk: ViewKey, k: int, mode: str = "exhaustive",
                    hints: Iterable[PortGraph] = (), *,
                    table: ViewInterner) -> Candidate | None:
-    """First (graph, root) with fewer than k vertices matching the view.
+    """A (graph, root) with fewer than k vertices matching the view, or None.
 
     ``vk`` is a folded view key; ``table`` is the interner that folded it.
-    Exhaustive mode scans the raw stream by vertex count; hinted mode scans
-    only the hint list, in order.  Either way the returned match has been
-    re-verified structurally.
+    Exhaustive mode develops the view's universal cover and returns it
+    rooted at its first lifted vertex, or None when the development needs
+    a node past the view's horizon or a k-th lifted vertex.  Hinted mode
+    returns the first match in the hint list.  Either way the returned
+    match has been re-verified structurally.
     """
     if mode == "hinted":
         for h in hints:
@@ -184,15 +173,18 @@ def find_candidate(vk: ViewKey, k: int, mode: str = "exhaustive",
         return None
     if mode != "exhaustive":
         raise ValueError(f"unknown candidate mode {mode!r}")
-    root_deg = vk.root_label[0]
-    child_degs = tuple(sorted(lab[0] for lab in vk.child_labels))
-    for n in range(1, k):
-        for eset in edge_sets(n):
-            if vk.depth >= 1 and not _profile_admits(n, eset, root_deg, child_degs):
-                continue
-            for h in port_assignments(n, eset):
-                for w in range(n):
-                    if _root_matches(h, w, vk, table):
-                        _verify_match(h, w, vk, table)
-                        return Candidate(h, w)
-    return None
+
+    def label(x: int) -> Label:
+        return table.key(x)[0]
+
+    def child(x: int, p: int) -> int | None:  # None past the horizon
+        return next((c for q, _, c in table.key(x)[1] if q == p), None)
+
+    # the root is the first lifted vertex, so k = 1 leaves room for none
+    dev = develop(label, child, vk.ident, k - 1,
+                  lambda x, y: label(x) == label(y)) if k > 1 else None
+    if dev is None:
+        return None
+    h = lifted_graph(*dev, label)
+    _verify_match(h, 0, vk, table)
+    return Candidate(h, 0)

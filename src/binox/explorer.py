@@ -11,9 +11,9 @@ The agent explores in phases k = 1, 2, ...; phase k physically walks the
 depth-2k walk tree depth-first (each tree edge costs two moves, down and
 up, so every phase ends back home), folding observed subtrees into a
 per-run intern table.  At phase end (computation is free, only moves are
-charged) it searches for a smaller-than-k candidate graph matching the
-acquired view and halts when every simple cycle of the candidate is
-k-contractible.
+charged) it develops the acquired view's universal cover, takes it as
+the candidate when it closes on fewer than k vertices, and halts when
+every simple cycle of the candidate is k-contractible.
 """
 
 from __future__ import annotations
@@ -36,11 +36,11 @@ Observation = tuple[Label, "int | None"]
 class PhasedAgent:
     """Phased view acquisition with a candidate-based halting test.
 
-    ``mode`` selects the candidate stream: "exhaustive" (all port graphs by
-    size) or "hinted" (only the provided hint graphs).  ``walk`` selects
-    the acquisition strategy: "full" physically walks the complete walk
-    tree; "nonbacktracking" skips the entry port at non-root nodes, which
-    determines the same view at exponentially fewer moves.
+    ``mode`` selects the candidate source: "exhaustive" (the view's
+    developed universal cover) or "hinted" (the first matching hint).
+    ``walk`` selects the acquisition strategy: "full" physically walks the
+    complete walk tree; "nonbacktracking" skips the entry port at non-root
+    nodes, which determines the same view at exponentially fewer moves.
     """
 
     def __init__(self, mode: str = "exhaustive", hints: Iterable[PortGraph] = (),

@@ -349,8 +349,3 @@ def format_vertex_map(f: dict[int, int]) -> str:
 
 def load_vertex_map(path: str, src: PortGraph, dst: PortGraph) -> dict[int, int]:
     return parse_vertex_map(read_text(path), src, dst)
-
-
-def save_vertex_map(f: dict[int, int], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_vertex_map(f))

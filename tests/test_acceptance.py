@@ -159,8 +159,11 @@ def test_criterion_4_trace_lifting():
 
 @pytest.mark.xfail(
     strict=True,
-    reason="no halting run exists on the projective plane: its open-lift "
-           "cycles are never contractible, so the agent never accepts; the "
+    reason="no halting run on the projective plane is within reach: "
+           "hinted with rp2 the agent takes rp2, whose open-lift cycles "
+           "never contract; exhaustive, the development yields the "
+           "22-vertex sphere only at k >= 23, whose simple cycles pass "
+           "Budgets.cycles, so that verdict is test_budget_exceeded; the "
            "10^4-step budget-run equality above is the realizable check",
 )
 def test_criterion_4_full_halting_run_on_projective_plane():

@@ -70,6 +70,18 @@ def test_explore_budget_wording_is_distinct(capsys):
     assert "halted at phase" not in out
 
 
+def test_explore_move_budget_bounds_an_exhaustive_run(capsys):
+    # phase ends cost no moves, so only a candidate search bounded by the
+    # view keeps the run's time bounded by its moves
+    code, out, _ = run(capsys, "explore", g("tree7"), "--walk",
+                       "nonbacktracking", "--max-moves", "3000", "--porcelain")
+    assert code == 0
+    got = porcelain(out)
+    assert (got["status"], got["moves"], got["halt_phase"]) \
+        == ("halted", "94", "8")
+    assert got["candidate_vertices"] == "7"
+
+
 def test_explore_nonbacktracking_flag(capsys):
     code, out, _ = run(capsys, "explore", g("k3"), "--walk",
                        "nonbacktracking", "--porcelain")

@@ -136,10 +136,14 @@ def test_single_edge_found_at_phase_three(p2):
 
 
 def test_square_view_has_no_small_candidate(c4):
+    # c4's universal cover is infinite, so no development closes; the hint
+    # list still yields c4 itself once it is small enough
     assert search(c4, 0, 4, 4) is None
-    got = search(c4, 0, 4, 5)
+    assert search(c4, 0, 4, 5) is None
+    assert search(c4, 0, 4, 4, mode="hinted", hints=[c4]) is None
+    got = search(c4, 0, 4, 5, mode="hinted", hints=[c4])
     assert got is not None
-    assert canonical_encoding(got.graph) == canonical_encoding(c4)
+    assert got.graph.encoding() == c4.encoding()
 
 
 def test_candidate_search_is_deterministic(k3):
@@ -175,12 +179,12 @@ def test_bad_targets_and_modes_rejected(k3):
 
 
 def test_candidate_is_earliest_in_stream_order():
-    # depth-0 target: many graphs match, the stream order must pick the
-    # smallest; no tree on <= 3 vertices has a vertex with the cycle's
-    # back-port pattern, so the winner is a 4-vertex tree
+    # a depth-0 view ends at the root, so developing past it needs a node
+    # beyond the horizon: no candidate, however large k is; the hint list
+    # is scanned in order, first match wins
     c8 = cycle_graph(8)
-    got = search(c8, 0, 0, 9)
-    assert got is not None
-    assert got.graph.n == 4
-    assert sum(1 for _ in got.graph.edges()) == 3
+    assert search(c8, 0, 0, 9) is None
+    hints = [graph("p3"), cycle_graph(5), c8]
+    got = search(c8, 0, 0, 9, mode="hinted", hints=hints)
+    assert got.graph.encoding() == hints[1].encoding()
     assert same_view(got.graph, got.root, c8, 0, 0)

@@ -21,6 +21,7 @@ HALTING_RUNS = (
     ("p3", 4, 156),
     ("k3", 4, 1344),
     ("k4", 5, 199272),
+    ("tree7", 8, 272896),  # candidate developed from the view, no hints
 )
 
 
@@ -155,7 +156,8 @@ def test_hinted_mode_without_usable_hints_never_halts(k3):
 
 
 def test_nonbacktracking_walk_same_verdict_fewer_moves(p2, k3):
-    for g, phase, full_moves in ((p2, 3, 24), (k3, 4, 1344)):
+    for g, phase, full_moves in ((p2, 3, 24), (k3, 4, 1344),
+                                 (graph("tree7"), 8, 272896)):
         nb = explore(g, walk="nonbacktracking")
         assert nb.halted and nb.halt_phase == phase
         assert nb.moves < full_moves
@@ -166,6 +168,7 @@ def test_nonbacktracking_walk_same_verdict_fewer_moves(p2, k3):
 def test_nonbacktracking_frozen_counts(p2, k3):
     assert explore(p2, walk="nonbacktracking").moves == 6
     assert explore(k3, walk="nonbacktracking").moves == 80
+    assert explore(graph("tree7"), walk="nonbacktracking").moves == 94
 
 
 # -- reconstruction -----------------------------------------------------------------

@@ -12,17 +12,13 @@ results, and equal phase logs, view ids and intern tables.
 Inputs: every canonical port graph on at most 4 vertices from every start
 and every catalog terrain from its first and last vertex; both walks, in
 exhaustive mode and in hinted mode with the terrain as its only hint.
-Candidate search is limited to graphs on at most 4 vertices (see
-``small_candidates``), which changes nothing on terrains that small and
-keeps the 5-vertex scans, which can take minutes, out of this test; the
-move caps keep it to about half a minute.
+The move caps keep it to about half a minute.
 """
 
 import pytest
 
 from binox import explorer
 from binox.catalog import graph, names
-from binox.enumeration import find_candidate
 from binox.errors import InvalidMove, KernelFault
 from binox.explorer import PhasedAgent, RunResult, StepRecord, run_agent
 
@@ -108,21 +104,6 @@ def oracle_run(g, agent, start, move_budget, record="none"):
         visited.add(pos)
 
 
-@pytest.fixture(autouse=True)
-def small_candidates(monkeypatch):
-    """Search candidates on at most 4 vertices only.
-
-    A phase-k search scans graphs on fewer than k vertices by size and
-    stops at the first match; a terrain on at most 4 vertices matches
-    itself before any 5-vertex graph is reached, so its searches are
-    unchanged.  Both agents call find_candidate through the explorer
-    module, so both see the same limited search.
-    """
-    def limited(vk, k, *args, **kwargs):
-        return find_candidate(vk, min(k, 5), *args, **kwargs)
-    monkeypatch.setattr(explorer, "find_candidate", limited)
-
-
 def assert_same_runs(g, start):
     for mode, walk in CONFIGS:
         hints = (g,) if mode == "hinted" else ()
@@ -163,12 +144,17 @@ def test_catalog_terrains(name):
 def test_caps_leave_room_for_phase_ends():
     """Within the caps, runs halt, end phases that reject a candidate and
     stop at the budget mid-phase."""
-    def run(name, walk):
-        agent = PhasedAgent(walk=walk)
+    def run(name, walk, **kw):
+        agent = PhasedAgent(walk=walk, **kw)
         out = run_agent(graph(name), agent, 0, RUN_MOVES)
         return out.halted, [verdict for *_, verdict in agent.phase_log]
 
     assert run("k3", "nonbacktracking") == (True, [None] * 3 + ["contractible"])
     assert run("k3", "full") == (False, [None] * 3)
+    # the exhaustive search finds no candidate for c4 (its universal cover
+    # is infinite); its hint is rejected at every phase from 5 on
     halted, verdicts = run("c4", "nonbacktracking")
+    assert not halted and set(verdicts) == {None}
+    halted, verdicts = run("c4", "nonbacktracking", mode="hinted",
+                           hints=[graph("c4")])
     assert not halted and verdicts.count("not_contractible") >= 10
