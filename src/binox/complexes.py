@@ -17,31 +17,49 @@ Simplex = tuple[int, ...]  # strictly increasing vertex tuple
 
 
 class CliqueComplex:
-    """All cliques of a graph, organized for star and triangle lookups."""
+    """All cliques of a graph, organized for star and triangle lookups.
 
-    __slots__ = ("graph", "simplices", "dimension", "_stars", "_tri_third",
-                 "_tris_at")
+    Move tables for ``homotopy.neighbor_moves``, built once.  Inserted
+    vertices come as ready tuples, so a child loop is two concatenations:
+
+    * ``back_steps[v]``: ``(w,)`` for each neighbor w of v, in port order;
+    * ``thirds[u, v]``: ``(w,)`` for each triangle {u, v, w}, w ascending,
+      under both orders of (u, v); edges on no triangle have no key;
+    * ``triangle_pairs[v]``: ``(x, y)`` then ``(y, x)`` for each triangle
+      {v, x, y} with x < y, triangles ascending;
+    * ``backtracks``: every walk (u, w, u) along an edge;
+    * ``triangle_paths``: every walk (u, w, v) along two sides of a
+      triangle;
+    * ``triangle_circuits``: every walk (u, x, y, u) around a triangle.
+    """
+
+    __slots__ = ("graph", "simplices", "dimension", "_stars", "back_steps",
+                 "thirds", "triangle_pairs", "backtracks", "triangle_paths",
+                 "triangle_circuits")
 
     def __init__(self, graph: PortGraph, simplices: frozenset[Simplex]):
         self.graph = graph
         self.simplices = simplices
         self.dimension = max(len(s) for s in simplices) - 1
         self._stars: dict[int, frozenset[Simplex]] = {}
-        # (u, v), either order -> tuple of w completing a triangle, ascending
-        tri: dict[tuple[int, int], list[int]] = {}
-        tris_at: dict[int, list[Simplex]] = {v: [] for v in graph.vertices}
-        for s in simplices:
-            if len(s) == 3:
-                a, b, c = s
-                tri.setdefault((a, b), []).append(c)
-                tri.setdefault((a, c), []).append(b)
-                tri.setdefault((b, c), []).append(a)
-                for v in s:
-                    tris_at[v].append(s)
-        self._tri_third: dict[tuple[int, int], tuple[int, ...]] = {}
-        for (u, v), ws in tri.items():
-            self._tri_third[u, v] = self._tri_third[v, u] = tuple(sorted(ws))
-        self._tris_at = {v: tuple(sorted(ws)) for v, ws in tris_at.items()}
+        self.back_steps = tuple(tuple((w,) for w in graph.neighbors(v))
+                                for v in graph.vertices)
+        self.backtracks = frozenset((u, w, u) for u in graph.vertices
+                                    for w in graph.neighbors(u))
+        thirds: dict[tuple[int, int], list[tuple[int]]] = {}
+        pairs: list[list[tuple[int, int]]] = [[] for _ in graph.vertices]
+        for s in sorted(s for s in simplices if len(s) == 3):
+            a, b, c = s
+            for u, v, w in ((a, b, c), (a, c, b), (b, c, a)):
+                thirds.setdefault((u, v), []).append((w,))
+                thirds.setdefault((v, u), []).append((w,))
+                pairs[w] += ((u, v), (v, u))
+        self.thirds = {uv: tuple(ws) for uv, ws in thirds.items()}
+        self.triangle_pairs = tuple(map(tuple, pairs))
+        self.triangle_paths = frozenset(
+            (u, w, v) for (u, v), ws in thirds.items() for (w,) in ws)
+        self.triangle_circuits = frozenset(
+            (u, x, y, u) for u, xy in enumerate(pairs) for x, y in xy)
 
     def star(self, v: int) -> frozenset[Simplex]:
         """Simplices containing v."""
@@ -50,13 +68,6 @@ class CliqueComplex:
             got = frozenset(s for s in self.simplices if v in s)
             self._stars[v] = got
         return got
-
-    def triangle_thirds(self, u: int, v: int) -> tuple[int, ...]:
-        """Vertices w such that {u, v, w} is a 2-simplex."""
-        return self._tri_third.get((u, v), ())
-
-    def triangles_at(self, v: int) -> tuple[Simplex, ...]:
-        return self._tris_at[v]
 
     def count_by_dim(self) -> dict[int, int]:
         out: dict[int, int] = {}
@@ -75,7 +86,8 @@ def clique_complex(g: PortGraph, budgets: Budgets = DEFAULT_BUDGETS) -> CliqueCo
         c = stack.pop()
         sims.append(c)
         if len(sims) > cap:
-            raise BudgetExceeded(f"more than {cap} simplices")
+            raise BudgetExceeded(f"more than {cap} simplices",
+                                 what="simplices", cap=cap, reached=len(sims))
         common = neigh[c[0]]
         for v in c[1:]:
             common = common & neigh[v]

@@ -43,7 +43,20 @@ class NotACovering(BinoxError):
 
 
 class BudgetExceeded(BinoxError):
-    """A hard enumeration cap (simplices, cycles, cover vertices) was hit."""
+    """A hard enumeration cap was hit.
+
+    ``what`` names the capped quantity ("simplices", "simple cycles",
+    "search states"), ``cap`` is its budget and ``reached`` how many there
+    were when the run stopped; all three are None where a caller raised
+    it without them.
+    """
+
+    def __init__(self, message: str, *, what: str | None = None,
+                 cap: int | None = None, reached: int | None = None):
+        super().__init__(message)
+        self.what = what
+        self.cap = cap
+        self.reached = reached
 
 
 class SearchBudgetExceeded(BudgetExceeded):

@@ -20,7 +20,8 @@ from __future__ import annotations
 
 import heapq
 from functools import cache
-from itertools import count
+from itertools import compress, count
+from operator import eq
 from typing import NamedTuple
 
 from .complexes import CliqueComplex
@@ -51,13 +52,24 @@ _STEP_DELTAS: dict[str, tuple[int, int]] = {
     "insert_triangle": (3, 0),
 }
 
+_EVERY_KIND = (True,) * len(_STEP_DELTAS)
+
+
+@cache
+def _kinds_within(slack: int) -> tuple[bool, ...]:
+    """Which move kinds, in _STEP_DELTAS order, keep a loop's children
+    within a bound b.  A child's lower bound (e + de + 2) // 3 + s + ds is
+    at most b exactly when de + 3 * ds <= 3 * (b - s) - e, the slack."""
+    return tuple(de + 3 * ds <= slack for de, ds in _STEP_DELTAS.values())
+
+
 # Returned paths share one Move per distinct (kind, index, data), so callers
 # that keep many certificates do not keep one object per step.
 _shared_move = cache(Move)
 
 
-def neighbor_moves(loop: Loop, cx: CliqueComplex,
-                   insertions: bool = True) -> list[tuple[Move, Loop]]:
+def neighbor_moves(loop: Loop, cx: CliqueComplex, insertions: bool = True,
+                   bound: int | None = None) -> list[tuple[Move, Loop]]:
     """All loops one move away, in a fixed deterministic order.
 
     insertions=False omits the two pure-insertion kinds (backtrack and
@@ -65,55 +77,74 @@ def neighbor_moves(loop: Loop, cx: CliqueComplex,
     that just need a shrinking witness can skip them for a much smaller
     branching factor.  Length-preserving rerouting (expand_triangle) is
     always kept.
+
+    With a bound, only the children whose step counts (e edge, s
+    stationary) keep ``(e + 2) // 3 + s <= bound``, in the same order.
+    That lower bound is fixed per move kind, so whole kinds are skipped.
     """
-    g = cx.graph
     m = len(loop) - 1
+    rest = loop[1:]
+    stationary = sum(map(eq, loop, rest))
+    (collapse, delete_backtrack, contract_triangle, delete_triangle,
+     insert_backtrack, expand_triangle, insert_triangle) = (
+        _EVERY_KIND if bound is None
+        else _kinds_within(3 * (bound - stationary) - (m - stationary)))
+    new = tuple.__new__  # a Move without NamedTuple's Python-level __new__
     out: list[tuple[Move, Loop]] = []
+    append = out.append
 
-    for i in range(m):  # collapse
-        if loop[i] == loop[i + 1]:
-            out.append((Move("collapse", i), loop[:i] + loop[i + 1:]))
+    if collapse and stationary:  # (a, a) -> (a,)
+        for i in compress(count(), map(eq, loop, rest)):
+            append((new(Move, ("collapse", i, ())), loop[:i] + loop[i + 1:]))
 
-    for i in range(m - 1):  # delete_backtrack
-        a, w = loop[i], loop[i + 1]
-        if loop[i + 2] == a and w != a and g.has_edge(a, w):
-            out.append((Move("delete_backtrack", i), loop[:i + 1] + loop[i + 3:]))
-
-    for i in range(m - 1):  # contract_triangle: (a, w, b) -> (a, b)
-        a, w, b = loop[i], loop[i + 1], loop[i + 2]
-        if a != b and w != a and w != b and w in cx.triangle_thirds(a, b):
-            out.append((Move("contract_triangle", i, (w,)),
+    if delete_backtrack or contract_triangle:
+        windows = list(zip(loop, rest, loop[2:]))
+        if delete_backtrack:  # (a, w, a) -> (a,)
+            for i in compress(count(), map(cx.backtracks.__contains__,
+                                           windows)):
+                append((new(Move, ("delete_backtrack", i, ())),
+                        loop[:i + 1] + loop[i + 3:]))
+        if contract_triangle:  # (a, w, b) -> (a, b)
+            for i in compress(count(), map(cx.triangle_paths.__contains__,
+                                           windows)):
+                append((new(Move, ("contract_triangle", i, loop[i + 1:i + 2])),
                         loop[:i + 1] + loop[i + 2:]))
 
-    for i in range(m - 2):  # delete_triangle: (a, x, y, a) -> (a,)
-        a, x, y = loop[i], loop[i + 1], loop[i + 2]
-        if (loop[i + 3] == a and x != y and a not in (x, y)
-                and y in cx.triangle_thirds(a, x)):
-            out.append((Move("delete_triangle", i, (x, y)),
-                        loop[:i + 1] + loop[i + 4:]))
+    if delete_triangle:  # (a, x, y, a) -> (a,)
+        for i in compress(count(), map(cx.triangle_circuits.__contains__,
+                                       zip(loop, rest, loop[2:], loop[3:]))):
+            append((new(Move, ("delete_triangle", i, loop[i + 1:i + 3])),
+                    loop[:i + 1] + loop[i + 4:]))
 
-    if insertions:
-        for i in range(m + 1):  # insert_backtrack
-            a = loop[i]
-            for w in g.neighbors(a):
-                out.append((Move("insert_backtrack", i, (w,)),
-                            loop[:i + 1] + (w, a) + loop[i + 1:]))
+    # (a,) -> (a, w, a) is loop[:i + 1] + (w,) + loop[i:]
+    if insert_backtrack and insertions:
+        steps = cx.back_steps
+        for i, a in enumerate(loop):
+            head, tail = loop[:i + 1], loop[i:]
+            for w in steps[a]:
+                append((new(Move, ("insert_backtrack", i, w)),
+                        head + w + tail))
 
-    for i in range(m):  # expand_triangle: (a, b) -> (a, w, b)
-        a, b = loop[i], loop[i + 1]
-        if a != b:
-            for w in cx.triangle_thirds(a, b):
-                out.append((Move("expand_triangle", i, (w,)),
-                            loop[:i + 1] + (w,) + loop[i + 1:]))
+    if expand_triangle:  # (a, b) -> (a, w, b)
+        thirds = cx.thirds
+        for i, ab in enumerate(zip(loop, rest)):
+            ws = thirds.get(ab)
+            if ws:
+                head, tail = loop[:i + 1], loop[i + 1:]
+                for w in ws:
+                    append((new(Move, ("expand_triangle", i, w)),
+                            head + w + tail))
 
-    if insertions:
-        for i in range(m + 1):  # insert_triangle
-            a = loop[i]
-            for s in cx.triangles_at(a):
-                x, y = (z for z in s if z != a)
-                for first, second in ((x, y), (y, x)):
-                    out.append((Move("insert_triangle", i, (first, second)),
-                                loop[:i + 1] + (first, second, a) + loop[i + 1:]))
+    # (a,) -> (a, x, y, a) is loop[:i + 1] + (x, y) + loop[i:]
+    if insert_triangle and insertions:
+        pairs = cx.triangle_pairs
+        for i, a in enumerate(loop):
+            xys = pairs[a]
+            if xys:
+                head, tail = loop[:i + 1], loop[i:]
+                for xy in xys:
+                    append((new(Move, ("insert_triangle", i, xy)),
+                            head + xy + tail))
 
     return out
 
@@ -202,24 +233,23 @@ def _search(loop: Loop, cx: CliqueComplex, k: int, budgets: Budgets,
             path.reverse()
             return True, path
         ng = gc + 1
-        for mv, nxt in neighbor_moves(cur, cx, insertions):
-            de, ds = deltas[mv.kind]
-            ne, ns = e + de, s + ds
-            nh = (ne + 2) // 3 + ns
-            if ng + nh > k:
-                continue
+        # the bound keeps exactly the children with ng + nh <= k
+        for mv, nxt in neighbor_moves(cur, cx, insertions, k - ng):
             old = best.get(nxt)
             if old is not None and old <= ng:
                 continue
             best[nxt] = ng
             if want_path:
                 parents[nxt] = (cur, mv)
+            de, ds = deltas[mv.kind]
+            ne, ns = e + de, s + ds
+            nh = (ne + 2) // 3 + ns
             heapq.heappush(heap, (ng + weight * nh, ng, next(tie), nxt, ne, ns))
             if len(best) > cap:
                 raise SearchBudgetExceeded(
                     f"contractibility search passed {cap} states "
-                    f"(loop length {len(loop) - 1}, bound {k})"
-                )
+                    f"(loop length {len(loop) - 1}, bound {k})",
+                    what="search states", cap=cap, reached=len(best))
     return False, None
 
 
@@ -297,7 +327,10 @@ def simple_cycles(g: PortGraph, budgets: Budgets = DEFAULT_BUDGETS) -> list[Loop
                     if len(path) >= 3 and path[1] < path[-1]:
                         found.append(path + (s,))
                         if len(found) > cap:
-                            raise BudgetExceeded(f"more than {cap} simple cycles")
+                            raise BudgetExceeded(
+                                f"more than {cap} simple cycles",
+                                what="simple cycles", cap=cap,
+                                reached=len(found))
                 elif w > s and w not in path:
                     stack.append(path + (w,))
     found.sort(key=lambda c: (len(c), c))

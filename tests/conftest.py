@@ -8,13 +8,36 @@ import pytest
 from hypothesis import strategies as st
 
 from binox.catalog import graph as catalog_graph
+from binox.cover import universal_cover
 from binox.enumeration import canonical_graphs
 from binox.graphs import PortGraph
+from binox.homotopy import simple_cycles
 
 
 @lru_cache(maxsize=None)
 def all_canonical(n_max: int) -> tuple[PortGraph, ...]:
     return tuple(g for n in range(1, n_max + 1) for g in canonical_graphs(n))
+
+
+@lru_cache(maxsize=None)
+def rp2_lift_split():
+    """Simple cycles of the projective plane split by lift closure."""
+    g = catalog_graph("rp2")
+    res = universal_cover(g)
+    lift_of = {}
+    for u, v in res.projection.items():
+        lift_of.setdefault(v, u)
+
+    def closes(cyc):
+        u = lift_of[cyc[0]]
+        for i in range(len(cyc) - 1):
+            u = res.cover.neighbor(u, g.port_to(cyc[i], cyc[i + 1]))
+        return u == lift_of[cyc[0]]
+
+    cycles = simple_cycles(g)
+    closed = [c for c in cycles if closes(c)]
+    open_ = [c for c in cycles if not closes(c)]
+    return closed, open_
 
 
 def relabel(g: PortGraph, perm) -> PortGraph:

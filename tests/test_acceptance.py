@@ -25,7 +25,8 @@ from binox.explorer import explore, lift_check, reconstructed_projection
 from binox.homotopy import (contraction_certificate, is_k_contractible,
                             min_contraction_moves, simple_cycles)
 
-from conftest import REVERSIBILITY_FAMILY, all_canonical, irreversible_moves
+from conftest import (REVERSIBILITY_FAMILY, all_canonical, irreversible_moves,
+                      rp2_lift_split)
 
 # (terrain, halting phase, total moves); frozen from verified runs
 FAITHFUL_RUNS = (
@@ -49,27 +50,6 @@ def faithful_run(name):
     t0 = time.monotonic()
     out = explore(graph(name), move_budget=10**7)
     return out, time.monotonic() - t0
-
-
-@lru_cache(maxsize=None)
-def rp2_lift_split():
-    """Simple cycles of the projective plane split by lift closure."""
-    g = graph("rp2")
-    res = universal_cover(g)
-    lift_of = {}
-    for u, v in res.projection.items():
-        lift_of.setdefault(v, u)
-
-    def closes(cyc):
-        u = lift_of[cyc[0]]
-        for i in range(len(cyc) - 1):
-            u = res.cover.neighbor(u, g.port_to(cyc[i], cyc[i + 1]))
-        return u == lift_of[cyc[0]]
-
-    cycles = simple_cycles(g)
-    closed = [c for c in cycles if closes(c)]
-    open_ = [c for c in cycles if not closes(c)]
-    return closed, open_
 
 
 @lru_cache(maxsize=None)

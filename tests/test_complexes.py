@@ -53,6 +53,14 @@ def test_simplex_cap_is_enforced(k4):
         clique_complex(k4, Budgets(simplices=5))
 
 
+def test_simplex_cap_error_says_what_was_capped(k4):
+    with pytest.raises(BudgetExceeded) as info:
+        clique_complex(k4, Budgets(simplices=5))
+    exc = info.value
+    assert (exc.what, exc.cap, exc.reached) == ("simplices", 5, 6)
+    assert str(exc) == "more than 5 simplices"
+
+
 @given(small_graphs())
 @settings(max_examples=40)
 def test_faces_of_simplices_are_simplices(g):
@@ -86,8 +94,24 @@ def test_star_and_triangle_lookups(k4):
     cx = clique_complex(k4)
     assert all(0 in s for s in cx.star(0))
     assert len(cx.star(0)) == 8  # 1 vertex + 3 edges + 3 triangles + 1 tetra
-    assert cx.triangle_thirds(0, 1) == (2, 3)
-    assert cx.triangles_at(2) == ((0, 1, 2), (0, 2, 3), (1, 2, 3))
+    assert cx.thirds[0, 1] == cx.thirds[1, 0] == ((2,), (3,))
+    assert cx.triangle_pairs[2] == ((0, 1), (1, 0), (0, 3), (3, 0),
+                                    (1, 3), (3, 1))
+    assert cx.back_steps[0] == tuple((w,) for w in k4.neighbors(0))
+    assert (0, 1, 0) in cx.backtracks and (0, 0, 0) not in cx.backtracks
+    assert (0, 1, 2) in cx.triangle_paths
+    assert (0, 1, 0) not in cx.triangle_paths
+    assert (0, 1, 2, 0) in cx.triangle_circuits
+    assert (0, 1, 2, 3) not in cx.triangle_circuits
+
+
+def test_move_tables_follow_the_triangles():
+    # c4 has no triangles: backtracks only
+    cx = clique_complex(graph("c4"))
+    assert not cx.thirds and not cx.triangle_paths
+    assert not cx.triangle_circuits
+    assert cx.triangle_pairs == ((),) * 4
+    assert len(cx.backtracks) == 8
 
 
 # -- simplicial maps ----------------------------------------------------------------

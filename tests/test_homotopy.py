@@ -176,6 +176,16 @@ def test_exhausted_search_raises_not_false():
         is_k_contractible((0, 1, 2, 0), cx, 20, Budgets(search_states=5))
 
 
+def test_exhausted_search_says_what_was_capped():
+    cx = clique_complex(graph("octahedron"))
+    with pytest.raises(SearchBudgetExceeded) as info:
+        is_k_contractible((0, 1, 2, 0), cx, 20, Budgets(search_states=5))
+    exc = info.value
+    assert (exc.what, exc.cap, exc.reached) == ("search states", 5, 6)
+    assert str(exc) == ("contractibility search passed 5 states "
+                        "(loop length 3, bound 20)")
+
+
 def test_certificate_replays_to_trivial():
     cx = clique_complex(graph("octahedron"))
     for loop in simple_cycles(cx.graph)[:40]:
@@ -246,6 +256,14 @@ def test_cycles_match_oracle(g):
 def test_cycle_cap_is_enforced():
     with pytest.raises(BudgetExceeded):
         simple_cycles(graph("octahedron"), Budgets(cycles=10))
+
+
+def test_cycle_cap_error_says_what_was_capped():
+    with pytest.raises(BudgetExceeded) as info:
+        simple_cycles(graph("octahedron"), Budgets(cycles=10))
+    exc = info.value
+    assert (exc.what, exc.cap, exc.reached) == ("simple cycles", 10, 11)
+    assert str(exc) == "more than 10 simple cycles"
 
 
 # -- the halting test ---------------------------------------------------------------

@@ -6,6 +6,12 @@ The oracle below is the earlier search, which rescans every child loop to
 compute its heuristic.  On the same input both must give the same verdicts,
 minimal counts and certificates after the same number of ``neighbor_moves``
 calls, so the faster search does the same work.
+
+``_search`` asks ``neighbor_moves`` only for the children within its
+remaining bound.  The unbounded list is checked against a scanning oracle
+that reads the graph and the simplex set instead of the complex's move
+tables, and the bounded list against the unbounded one, filtered by each
+child's own rescanned step counts.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from binox.config import DEFAULT_BUDGETS, Budgets
 from binox.enumeration import canonical_graphs
 from binox.errors import SearchBudgetExceeded
 
-from conftest import all_closed_walks
+from conftest import all_closed_walks, rp2_lift_split
 
 WALK_STEPS = 6
 SHORT_WALK_STEPS = 3
@@ -32,6 +38,8 @@ CERTIFICATE_MOVES = 20  # as in the acceptance gate's rp2 certificates
 SAMPLE_CYCLES = 40  # seeded sample per surface
 SAMPLE_BUDGETS = Budgets(search_states=1000)
 SAMPLE_VERDICT_BOUNDS = (2, 3, 4)  # exhaustive negatives within the cap
+# neighbor_moves calls of the exact rp2 open-lift negatives, by move bound
+EXACT_NEGATIVE_CALLS = {5: 2853, 6: 12727}
 
 
 def rescanning_heuristic(loop):
@@ -93,16 +101,16 @@ def rescanning_search(loop, cx, k, budgets, want_path, weight=1,
 class CheckedMoves:
     """Stands in for ``neighbor_moves``: counts the calls and, while
     ``check`` is set, checks every child's step counts against its
-    parent's plus its move kind's delta."""
+    parent's plus its move kind's delta, and against the bound."""
 
     def __init__(self, real):
         self.real = real
         self.calls = 0
         self.check = True
 
-    def __call__(self, loop, cx, insertions=True):
+    def __call__(self, loop, cx, insertions=True, bound=None):
         self.calls += 1
-        out = self.real(loop, cx, insertions)
+        out = self.real(loop, cx, insertions, bound)
         if not self.check:
             return out
         e, s = H._edge_stationary_counts(loop)
@@ -110,6 +118,8 @@ class CheckedMoves:
             de, ds = H._STEP_DELTAS[mv.kind]
             assert H._edge_stationary_counts(nxt) == (e + de, s + ds), \
                 (loop, mv, nxt)
+            assert bound is None or rescanning_heuristic(nxt) <= bound, \
+                (loop, mv, nxt, bound)
         return out
 
 
@@ -172,6 +182,79 @@ def assert_same_searches(moves, loop, cx, k, budgets):
                     insertions=False), loop
 
 
+def scanning_moves(loop, cx, insertions):
+    """``neighbor_moves`` as it was before the complex carried move tables:
+    every condition tested on the graph and the simplex set, one position
+    at a time."""
+    g = cx.graph
+    m = len(loop) - 1
+
+    def thirds(a, b):  # a != b
+        return sorted(w for w in g.neighbors(a)
+                      if w != b and tuple(sorted((a, b, w))) in cx.simplices)
+
+    out = []
+    for i in range(m):
+        if loop[i] == loop[i + 1]:
+            out.append((H.Move("collapse", i), loop[:i] + loop[i + 1:]))
+    for i in range(m - 1):
+        a, w = loop[i], loop[i + 1]
+        if loop[i + 2] == a and w != a and g.has_edge(a, w):
+            out.append((H.Move("delete_backtrack", i),
+                        loop[:i + 1] + loop[i + 3:]))
+    for i in range(m - 1):
+        a, w, b = loop[i:i + 3]
+        if a != b and w != a and w != b and w in thirds(a, b):
+            out.append((H.Move("contract_triangle", i, (w,)),
+                        loop[:i + 1] + loop[i + 2:]))
+    for i in range(m - 2):
+        a, x, y = loop[i:i + 3]
+        if (loop[i + 3] == a and x != y and a not in (x, y)
+                and y in thirds(a, x)):
+            out.append((H.Move("delete_triangle", i, (x, y)),
+                        loop[:i + 1] + loop[i + 4:]))
+    if insertions:
+        for i in range(m + 1):
+            a = loop[i]
+            for w in g.neighbors(a):
+                out.append((H.Move("insert_backtrack", i, (w,)),
+                            loop[:i + 1] + (w, a) + loop[i + 1:]))
+    for i in range(m):
+        a, b = loop[i], loop[i + 1]
+        if a != b:
+            for w in thirds(a, b):
+                out.append((H.Move("expand_triangle", i, (w,)),
+                            loop[:i + 1] + (w,) + loop[i + 1:]))
+    if insertions:
+        for i in range(m + 1):
+            a = loop[i]
+            for s in sorted(s for s in cx.simplices
+                            if len(s) == 3 and a in s):
+                x, y = (z for z in s if z != a)
+                for first, second in ((x, y), (y, x)):
+                    out.append((H.Move("insert_triangle", i, (first, second)),
+                                loop[:i + 1] + (first, second, a)
+                                + loop[i + 1:]))
+    return out
+
+
+def assert_same_moves(loop, cx):
+    """For both insertions values, the unbounded list equals the scanning
+    oracle's, and for every bound from -1 up to the largest child's, the
+    bounded list is the unbounded one filtered to the children within the
+    bound, in the same order."""
+    for insertions in (True, False):
+        every = H.neighbor_moves(loop, cx, insertions)
+        assert every == scanning_moves(loop, cx, insertions), \
+            (loop, insertions)
+        assert all(type(mv) is H.Move for mv, _ in every)
+        lows = [rescanning_heuristic(nxt) for _, nxt in every]
+        for bound in range(-1, max(lows, default=0) + 1):
+            want = [c for c, low in zip(every, lows) if low <= bound]
+            assert H.neighbor_moves(loop, cx, insertions, bound) == want, \
+                (loop, insertions, bound)
+
+
 def shape(g):
     """The underlying simple graph up to isomorphism."""
     return min(tuple(sorted(tuple(sorted((p[u], p[v])))
@@ -196,11 +279,35 @@ def test_search_matches_rescanning_oracle_on_small_graphs(moves, n):
             assert_same_searches(moves, loop, cx, BOUND, DEFAULT_BUDGETS)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_moves_match_scanning_oracle_on_small_graphs(n):
+    shapes = set()
+    for g in canonical_graphs(n):
+        s = shape(g)
+        if s in shapes:
+            continue
+        shapes.add(s)
+        cx = clique_complex(g)
+        for loop in all_closed_walks(g, WALK_STEPS):
+            assert_same_moves(loop, cx)
+
+
+def surface_sample(name):
+    g = graph(name)
+    return (clique_complex(g),
+            random.Random(20151).sample(H.simple_cycles(g), SAMPLE_CYCLES))
+
+
+@pytest.mark.parametrize("name", ["rp2", "icosahedron"])
+def test_moves_match_scanning_oracle_on_surface_cycles(name):
+    cx, cycles = surface_sample(name)
+    for cyc in cycles:
+        assert_same_moves(cyc, cx)
+
+
 @pytest.mark.parametrize("name", ["rp2", "icosahedron"])
 def test_search_matches_rescanning_oracle_on_surface_cycles(moves, name):
-    g = graph(name)
-    cx = clique_complex(g)
-    cycles = random.Random(20151).sample(H.simple_cycles(g), SAMPLE_CYCLES)
+    cx, cycles = surface_sample(name)
     for cyc in cycles:
         assert_same_searches(moves, cyc, cx, CERTIFICATE_MOVES,
                              SAMPLE_BUDGETS)
@@ -214,3 +321,14 @@ def test_shared_certificate_moves(k4):
     b = H.contraction_certificate((0, 1, 2, 3, 0), cx, 4)
     assert a and a == b
     assert all(x[0] is y[0] for x, y in zip(a, b))
+
+
+@pytest.mark.parametrize("k", sorted(EXACT_NEGATIVE_CALLS))
+def test_exact_negative_work_is_frozen(moves, k):
+    """An exact negative expands every state of its f <= k band, so its
+    neighbor_moves calls (perfbench's homotopy.states_expanded) are
+    frozen: a change that stops pruning shows here."""
+    _, open_ = rp2_lift_split()
+    rp2x = clique_complex(graph("rp2"))
+    assert run(moves, H.is_k_contractible, open_[0], rp2x, k,
+               DEFAULT_BUDGETS) == (False, EXACT_NEGATIVE_CALLS[k])
