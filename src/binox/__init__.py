@@ -23,18 +23,17 @@ from .errors import (BinoxError, BudgetExceeded, CatalogVerificationFailed,
                      KernelFault, NotACovering, NotSimplicial,
                      SearchBudgetExceeded, UndefinedPort)
 from .explorer import (ExploreOutcome, LiftReport, PhasedAgent, RunResult,
-                       StepRecord, agent_digest, explore, format_trace,
-                       lift_check, reconstructed_projection, run_agent)
-from .graphs import (PortGraph, check_walk, dest, format_graph,
-                     format_vertex_map, load_graph, load_vertex_map,
-                     parse_graph, parse_vertex_map, port_map, port_word,
+                       StepRecord, agent_digest, explore, lift_check,
+                       reconstructed_projection, run_agent)
+from .graphs import (PortGraph, format_graph, format_vertex_map, load_graph,
+                     load_vertex_map, parse_graph, parse_vertex_map, port_map,
                      save_graph)
 from .homotopy import (Move, all_simple_cycles_k_contractible,
                        contraction_certificate, contraction_sequence,
                        free_reduction, is_k_contractible,
                        min_contraction_moves, neighbor_moves, simple_cycles)
 from .views import (ViewInterner, ViewKey, fold_graph, format_view, reintern,
-                    same_view, view_key)
+                    view_key)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -18,7 +18,7 @@ from .cover import classify, universal_cover
 from .enumeration import canonical_graphs
 from .errors import (BinoxError, BudgetExceeded, KernelFault,
                      SearchBudgetExceeded, UsageError)
-from .explorer import explore, lift_check
+from .explorer import MOVE_BUDGET, explore, lift_check
 from .graphs import (format_graph, format_vertex_map, load_graph,
                      load_vertex_map, read_text, save_graph)
 from .homotopy import contraction_sequence, is_k_contractible
@@ -254,11 +254,10 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def cmd_catalog(args: argparse.Namespace) -> int:
-    if args.action == "run":
-        for line in cat.verify_catalog():
-            print(line)
-        print("catalog verified")
-    else:
+    for line in cat.verify_catalog():  # write only what verifies
+        print(line)
+    print("catalog verified")
+    if args.action == "write":
         for path in cat.write_catalog(args.dir):
             print(path)
     return 0
@@ -287,7 +286,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("explore", help="run the phased exploring agent")
     p.add_argument("graph")
     p.add_argument("--start", type=int, default=0)
-    p.add_argument("--max-moves", type=int, default=10**6, help="move budget")
+    p.add_argument("--max-moves", type=int, default=MOVE_BUDGET,
+                   help="move budget")
     common(p, walk=True)
     p.set_defaults(func=cmd_explore)
 
@@ -346,7 +346,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count-only", action="store_true")
     p.set_defaults(func=cmd_enumerate)
 
-    p = sub.add_parser("catalog", help="verify or write the built-in catalog")
+    p = sub.add_parser("catalog",
+                       help="verify the built-in catalog, and write it")
     p.add_argument("action", choices=["run", "write"])
     p.add_argument("--dir", default="catalog", help="output directory for write")
     p.set_defaults(func=cmd_catalog)

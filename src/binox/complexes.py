@@ -69,12 +69,6 @@ class CliqueComplex:
             self._stars[v] = got
         return got
 
-    def count_by_dim(self) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for s in self.simplices:
-            out[len(s) - 1] = out.get(len(s) - 1, 0) + 1
-        return out
-
 
 def clique_complex(g: PortGraph, budgets: Budgets = DEFAULT_BUDGETS) -> CliqueComplex:
     """Enumerate every clique of g; BudgetExceeded past budgets.simplices."""
@@ -119,8 +113,7 @@ def is_simplicial_map(f: dict[int, int], src: CliqueComplex,
 
 
 def is_simplicial_covering(f: dict[int, int], src: CliqueComplex,
-                           dst: CliqueComplex,
-                           respect_ports: bool = True) -> bool:
+                           dst: CliqueComplex) -> bool:
     """Star-bijection test: f restricted to each star is a bijection.
 
     Requires f to be simplicial (NotSimplicial otherwise) and checks, for
@@ -128,12 +121,9 @@ def is_simplicial_covering(f: dict[int, int], src: CliqueComplex,
     ONTO the star of f(v).
 
     Clique complexes of port graphs are labeled objects: each edge simplex
-    carries its two port numbers.  With ``respect_ports`` (the default) the
-    map must also preserve that decoration, which is what makes this notion
-    coincide with the port-graph covering notion on every vertex map; the
-    bare structural test (ports ignored) is available by turning it off,
-    but is strictly weaker: any port-breaking automorphism of the
-    underlying complex passes it.
+    carries its two port numbers, and the map must preserve them too.  The
+    star test alone is strictly weaker than the port-graph covering notion:
+    any port-breaking automorphism of the underlying complex passes it.
     """
     if not is_simplicial_map(f, src, dst):
         raise NotSimplicial("map is not simplicial; star test undefined")
@@ -143,14 +133,11 @@ def is_simplicial_covering(f: dict[int, int], src: CliqueComplex,
             return False
         if set(images) != dst.star(f[v]):
             return False
-    if respect_ports:
-        for u, v, pu, pv in src.graph.edges():
-            fu, fv = f[u], f[v]
-            if not dst.graph.has_edge(fu, fv):
-                return False  # unreachable after the star test; defensive
-            if (dst.graph.port_to(fu, fv) != pu
-                    or dst.graph.port_to(fv, fu) != pv):
-                return False
+    port_to = dst.graph.port_to
+    for u, v, pu, pv in src.graph.edges():
+        # the star test makes f(u) and f(v) adjacent
+        if port_to(f[u], f[v]) != pu or port_to(f[v], f[u]) != pv:
+            return False
     return True
 
 

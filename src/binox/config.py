@@ -9,7 +9,6 @@ from dataclasses import dataclass
 class Budgets:
     """Hard caps; exceeding one yields an explicit verdict, never silence."""
 
-    moves: int = 10**6          # agent moves per exploration run
     cover_vertices: int = 500   # lifted vertices per development
     search_states: int = 10**6  # closed loops per contractibility search
     cycles: int = 10**6         # enumerated simple cycles per graph

@@ -27,7 +27,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .cover import develop, lifted_graph
 from .errors import KernelFault
-from .graphs import Label, PortGraph
+from .graphs import Label, PortGraph, port_map
 from .views import ViewInterner, ViewKey, fold_graph, reintern
 
 Pair = tuple[int, int]
@@ -82,17 +82,8 @@ def raw_graphs(n: int) -> Iterator[PortGraph]:
 
 def bfs_encoding(g: PortGraph, base: int) -> tuple:
     """Encoding of g relabeled by port-driven BFS discovery order from base."""
-    order = {base: 0}
-    queue = [base]
-    head = 0
-    while head < len(queue):
-        u = queue[head]
-        head += 1
-        for p in range(g.degree(u)):
-            w = g.neighbor(u, p)
-            if w not in order:
-                order[w] = len(order)
-                queue.append(w)
+    # the identity map's keys come in that order
+    order = {v: i for i, v in enumerate(port_map(g, base, g, base))}
     edges = []
     for u, v, pu, pv in g.edges():
         nu, nv = order[u], order[v]

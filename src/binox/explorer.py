@@ -32,6 +32,8 @@ from .views import ViewInterner, view_key
 
 Observation = tuple[Label, "int | None"]
 
+MOVE_BUDGET = 10**6  # default agent moves per exploration run
+
 
 class PhasedAgent:
     """Phased view acquisition with a candidate-based halting test.
@@ -234,7 +236,7 @@ class StepRecord:
     position: int
     entry: int | None
     action: int | None  # None means halt
-    digest: str | None
+    digest: str  # agent_digest after the decision
 
 
 @dataclass(frozen=True)
@@ -249,21 +251,18 @@ class RunResult:
 
 
 def run_agent(g: PortGraph, agent, start: int = 0,
-              move_budget: int = DEFAULT_BUDGETS.moves,
-              record: str = "none") -> RunResult:
+              move_budget: int = MOVE_BUDGET,
+              record: bool = False) -> RunResult:
     """Drive the agent until it halts or the move budget is exhausted.
 
-    ``record``: "none", "steps" (positions and actions), or "digests"
-    (additionally a sha256 memory digest per step); one loop serves all
-    three.  Each move reads the graph's adjacency and back-port tuples
-    directly, and its cached label unless that is still unset.  An action
-    that is not an int (a bool included) or not a port of the current
-    vertex raises InvalidMove.  A budget exhaustion leaves the final
-    decision unexecuted and is reported in the result, never as an
-    exception.
+    ``record`` keeps one StepRecord per decision: position, entry port,
+    action and the agent's sha256 memory digest.  Each move reads the
+    graph's adjacency and back-port tuples directly, and its cached label
+    unless that is still unset.  An action that is not an int (a bool
+    included) or not a port of the current vertex raises InvalidMove.  A
+    budget exhaustion leaves the final decision unexecuted and is reported
+    in the result, never as an exception.
     """
-    if record not in ("none", "steps", "digests"):
-        raise ValueError(f"unknown record level {record!r}")
     if not 0 <= start < g.n:
         raise InvalidMove(f"start vertex {start} out of range")
     adj, back, labels, label_of = g._adj, g._back, g._labels, g.label
@@ -272,16 +271,13 @@ def run_agent(g: PortGraph, agent, start: int = 0,
     visited = {start}
     seen = visited.add
     steps: list[StepRecord] = []
-    recording = record != "none"
-    digests = record == "digests"
     while True:
         label = labels[pos]
         if label is None:
             label = label_of(pos)
         action = act((label, entry))
-        if recording:
-            dg = agent_digest(agent) if digests else None
-            steps.append(StepRecord(pos, entry, action, dg))
+        if record:
+            steps.append(StepRecord(pos, entry, action, agent_digest(agent)))
         if action is None:
             return RunResult(True, False, moves, start, pos,
                              frozenset(visited), tuple(steps))
@@ -315,14 +311,13 @@ class ExploreOutcome:
         return self.status == "halted"
 
 
-def explore(g: PortGraph, start: int = 0,
-            move_budget: int = DEFAULT_BUDGETS.moves,
+def explore(g: PortGraph, start: int = 0, move_budget: int = MOVE_BUDGET,
             mode: str = "exhaustive", hints: Iterable[PortGraph] = (),
-            walk: str = "full", budgets: Budgets = DEFAULT_BUDGETS,
-            record: str = "none") -> ExploreOutcome:
+            walk: str = "full",
+            budgets: Budgets = DEFAULT_BUDGETS) -> ExploreOutcome:
     """One full exploration run; asserts total visitation on halt."""
     agent = PhasedAgent(mode=mode, hints=hints, walk=walk, budgets=budgets)
-    run = run_agent(g, agent, start, move_budget, record)
+    run = run_agent(g, agent, start, move_budget)
     if run.halted and run.visited != frozenset(g.vertices):
         raise KernelFault(
             f"halted having visited {len(run.visited)} of {g.n} vertices"
@@ -337,24 +332,6 @@ def explore(g: PortGraph, start: int = 0,
         run=run,
         agent=agent,
     )
-
-
-def format_trace(g: PortGraph, run: RunResult) -> str:
-    """Render a recorded run, one line per step:
-
-        i <obs-hash> <mem-digest> <action> <pos>
-
-    obs-hash covers exactly what the agent saw (label, entry port); the
-    position column is harness metadata the agent never had.  mem-digest
-    prints as - when the run was not recorded at the digests level.
-    """
-    lines = []
-    for i, s in enumerate(run.steps):
-        obs = (g.label(s.position), s.entry)
-        oh = hashlib.sha256(repr(obs).encode()).hexdigest()[:16]
-        action = "halt" if s.action is None else str(s.action)
-        lines.append(f"{i} {oh} {s.digest or '-'} {action} {s.position}")
-    return "\n".join(lines) + ("\n" if lines else "")
 
 
 # reconstructed_projection(h, root, g, start): candidate vertices -> the
@@ -395,9 +372,9 @@ def lift_check(cover: PortGraph, base: PortGraph, projection: dict[int, int],
         return PhasedAgent(mode=mode, hints=hints, walk=walk, budgets=budgets)
 
     base_run = run_agent(base, fresh(), projection[cover_start], move_budget,
-                         record="digests")
+                         record=True)
     cover_run = run_agent(cover, fresh(), cover_start, move_budget,
-                          record="digests")
+                          record=True)
     first: int | None = None
     upto = min(len(base_run.steps), len(cover_run.steps))
     for i in range(upto):

@@ -181,19 +181,7 @@ class PortGraph:
         return f"PortGraph(n={self.n}, m={self.edge_count()})"
 
 
-# -- walks -------------------------------------------------------------------
-
-
-def dest(g: PortGraph, v: int, ports: Iterable[int]) -> int:
-    """Endpoint of the walk that starts at v and takes the given ports."""
-    for p in ports:
-        v = g.neighbor(v, p)
-    return v
-
-
-def port_word(g: PortGraph, walk: tuple[int, ...]) -> tuple[int, ...]:
-    """Outgoing port sequence along a stationary-free walk."""
-    return tuple(g.port_to(walk[i], walk[i + 1]) for i in range(len(walk) - 1))
+# -- port-propagated maps ----------------------------------------------------
 
 
 def port_map(src: PortGraph, a: int, dst: PortGraph,
@@ -204,7 +192,8 @@ def port_map(src: PortGraph, a: int, dst: PortGraph,
     port-p neighbor of u's image.  Returns None if two walks to one src
     vertex land on different dst vertices (the map would be path-dependent)
     or ports run out (a vertex and its image differ in degree).  Back ports
-    and labels are not compared; a covering check does that.
+    and labels are not compared; a covering check does that.  The keys
+    come in breadth-first order from a, neighbors in port order.
     """
     f = {a: b}
     queue = [a]
@@ -220,30 +209,6 @@ def port_map(src: PortGraph, a: int, dst: PortGraph,
                 f[w] = img
                 queue.append(w)
     return f
-
-
-def check_walk(g: PortGraph, walk: tuple[int, ...], *, closed: bool = False,
-               stationary_ok: bool = False) -> None:
-    """Raise GraphFormatError unless walk is a valid vertex sequence.
-
-    Consecutive vertices must be adjacent (or equal, when stationary steps
-    are allowed).  ``closed`` additionally requires first == last.
-    """
-    if not walk:
-        raise GraphFormatError("empty walk")
-    for v in walk:
-        if not 0 <= v < g.n:
-            raise GraphFormatError(f"walk vertex {v} out of range")
-    for a, b in zip(walk, walk[1:]):
-        if a == b:
-            if not stationary_ok:
-                raise GraphFormatError(f"stationary step at vertex {a}")
-        elif not g.has_edge(a, b):
-            raise GraphFormatError(f"walk step {a}-{b} is not an edge")
-    if closed and walk[0] != walk[-1]:
-        raise GraphFormatError(
-            f"loop does not close: starts at {walk[0]}, ends at {walk[-1]}"
-        )
 
 
 # -- text format ----------------------------------------------------------------

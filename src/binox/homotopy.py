@@ -24,10 +24,10 @@ from itertools import compress, count
 from operator import eq
 from typing import NamedTuple
 
-from .complexes import CliqueComplex
+from .complexes import CliqueComplex, clique_complex
 from .config import DEFAULT_BUDGETS, Budgets
-from .errors import BudgetExceeded, SearchBudgetExceeded
-from .graphs import PortGraph, check_walk
+from .errors import BudgetExceeded, GraphFormatError, SearchBudgetExceeded
+from .graphs import PortGraph
 
 Loop = tuple[int, ...]
 
@@ -181,24 +181,43 @@ def _edge_stationary_counts(loop: Loop) -> tuple[int, int]:
 
 
 def _check_query(loop: Loop, cx: CliqueComplex, k: int) -> None:
-    check_walk(cx.graph, loop, closed=True, stationary_ok=True)
+    """GraphFormatError unless the loop is a closed walk of the complex's
+    graph (stationary steps allowed); ValueError when k < 0."""
+    if not loop:
+        raise GraphFormatError("empty walk")
+    n, has_edge = cx.graph.n, cx.graph.has_edge
+    for v in loop:
+        if not 0 <= v < n:
+            raise GraphFormatError(f"walk vertex {v} out of range")
+    for a, b in zip(loop, loop[1:]):
+        if a != b and not has_edge(a, b):
+            raise GraphFormatError(f"walk step {a}-{b} is not an edge")
+    if loop[0] != loop[-1]:
+        raise GraphFormatError(
+            f"loop does not close: starts at {loop[0]}, ends at {loop[-1]}"
+        )
     if k < 0:
         raise ValueError("negative move bound")
 
 
 def _search(loop: Loop, cx: CliqueComplex, k: int, budgets: Budgets,
-            want_path: bool, weight: int = 1, insertions: bool = True):
+            want_path: bool, greedy: bool = False):
     """Optimal-move search, states pruned to cost + heuristic <= k.
 
     Returns (reachable, path) where path is the move list on success and
     want_path is set.  Raises SearchBudgetExceeded past the state cap.
 
-    With weight = 1 this is plain A*: the first goal pop is a minimal
-    sequence and a False return is an exhaustive negative.  weight > 1
-    inflates only the queue priority (the <= k prune keeps the admissible
-    bound), trading minimality for speed; use it for certificates only.
+    By default this is plain A*: the first goal pop is a minimal sequence
+    and a False return is an exhaustive negative.  ``greedy`` weights the
+    heuristic 8-fold in the queue priority only (the <= k prune keeps the
+    admissible bound) and drops the insertion moves, trading minimality
+    for speed; use it for certificates only.  A triangle-free complex
+    drops the insertions either way: by the free-reduction argument (see
+    ``free_reduction``) they never shorten a contraction there.
     """
     _check_query(loop, cx, k)
+    weight = 8 if greedy else 1
+    insertions = not greedy and cx.dimension >= 2
     target: Loop = (loop[0],)
     start = tuple(loop)
     if start == target:
@@ -288,8 +307,7 @@ def min_contraction_moves(loop: Loop, cx: CliqueComplex, k: int,
 
 
 def contraction_certificate(loop: Loop, cx: CliqueComplex, k: int,
-                            budgets: Budgets = DEFAULT_BUDGETS,
-                            weight: int = 8
+                            budgets: Budgets = DEFAULT_BUDGETS
                             ) -> list[tuple[Move, Loop]] | None:
     """Some move sequence of length <= k contracting the loop, or None.
 
@@ -300,7 +318,7 @@ def contraction_certificate(loop: Loop, cx: CliqueComplex, k: int,
     upper-bound witness.
     """
     reachable, path = _search(loop, cx, k, budgets, want_path=True,
-                              weight=weight, insertions=False)
+                              greedy=True)
     return path if reachable else None
 
 
@@ -338,16 +356,13 @@ def simple_cycles(g: PortGraph, budgets: Budgets = DEFAULT_BUDGETS) -> list[Loop
 
 
 def all_simple_cycles_k_contractible(g: PortGraph, k: int,
-                                     cx: CliqueComplex | None = None,
                                      budgets: Budgets = DEFAULT_BUDGETS) -> bool:
     """The halting test: every simple cycle contracts within k moves.
 
     Vacuously true on acyclic graphs.  Budget errors propagate rather than
     turning into verdicts.
     """
-    if cx is None:
-        from .complexes import clique_complex
-        cx = clique_complex(g, budgets)
+    cx = clique_complex(g, budgets)
     for cyc in simple_cycles(g, budgets):
         if not is_k_contractible(cyc, cx, k, budgets):
             return False

@@ -195,12 +195,3 @@ def view_key(table: ViewInterner, ident: int, depth: int,
     lab, children = table.key(ident)
     child_labels = tuple(table.key(c)[0] for _, _, c in children)
     return ViewKey(ident, depth, nonbacktracking, lab, child_labels)
-
-
-def same_view(g1: PortGraph, v1: int, g2: PortGraph, v2: int, depth: int,
-              nonbacktracking: bool = False) -> bool:
-    """Do v1 in g1 and v2 in g2 have equal depth-``depth`` views?"""
-    table = ViewInterner()
-    a = fold_graph(g1, v1, depth, table, nonbacktracking)
-    b = fold_graph(g2, v2, depth, table, nonbacktracking)
-    return a == b

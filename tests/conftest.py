@@ -12,6 +12,7 @@ from binox.cover import universal_cover
 from binox.enumeration import canonical_graphs
 from binox.graphs import PortGraph
 from binox.homotopy import simple_cycles
+from binox.views import ViewInterner, fold_graph
 
 
 @lru_cache(maxsize=None)
@@ -49,6 +50,21 @@ def relabel(g: PortGraph, perm) -> PortGraph:
 def small_graphs(n_max: int = 4) -> st.SearchStrategy[PortGraph]:
     """Every canonical connected port graph on <= n_max vertices."""
     return st.sampled_from(all_canonical(n_max))
+
+
+def walk_ports(g: PortGraph, v: int, ports) -> int:
+    """Endpoint of the walk that starts at v and takes the given ports."""
+    for p in ports:
+        v = g.neighbor(v, p)
+    return v
+
+
+def same_view(g1: PortGraph, v1: int, g2: PortGraph, v2: int, depth: int,
+              nonbacktracking: bool = False) -> bool:
+    """Do v1 in g1 and v2 in g2 fold to one id in a shared table?"""
+    table = ViewInterner()
+    return (fold_graph(g1, v1, depth, table, nonbacktracking)
+            == fold_graph(g2, v2, depth, table, nonbacktracking))
 
 
 def walk_tree(g: PortGraph, v: int, depth: int) -> tuple:
@@ -111,17 +127,25 @@ def all_closed_walks(g: PortGraph, max_steps: int):
 
 def irreversible_moves(g: PortGraph, max_steps: int):
     """Non-collapse moves on closed walks of <= max_steps steps whose
-    result has no move back; empty list means reversibility holds."""
+    result has no move back; empty list means reversibility holds.
+
+    A move back leads to the parent loop, whose e edge and s stationary
+    steps give it the lower bound h = (e + 2) // 3 + s.  The child's list
+    bounded by h is its unbounded list filtered to the children within h,
+    so it holds the parent exactly when the unbounded list does."""
     from binox.complexes import clique_complex
     from binox.homotopy import neighbor_moves
 
     cx = clique_complex(g)
     bad = []
     for loop in all_closed_walks(g, max_steps):
+        s = sum(a == b for a, b in zip(loop, loop[1:]))
+        h = (len(loop) - 1 - s + 2) // 3 + s
         for mv, nxt in neighbor_moves(loop, cx):
             if mv.kind == "collapse":
                 continue
-            if not any(back == loop for _, back in neighbor_moves(nxt, cx)):
+            if not any(back == loop
+                       for _, back in neighbor_moves(nxt, cx, True, h)):
                 bad.append((loop, mv, nxt))
     return bad
 

@@ -198,6 +198,25 @@ def test_contract_negative(capsys):
     assert porcelain(out) == {"verdict": "not_contractible", "moves": "-"}
 
 
+def test_contract_sequence_keeps_the_verdict(capsys):
+    # without triangles a search needs no backtrack insertions, so asking
+    # for the sequence gives the same quick exact negative
+    code, out, _ = run(capsys, "contract", g("c4"), "--loop", "0,1,2,3,0",
+                       "--k", "20", "--show-sequence")
+    assert code == 0
+    assert out == "not contractible within 20 moves\n"
+
+
+@pytest.mark.parametrize("loop", ["", "0,9,0", "0,2,0", "0,1,1"],
+                         ids=["empty", "out_of_range", "not_an_edge", "open"])
+def test_contract_rejects_invalid_loops(capsys, loop):
+    code, out, err = run(capsys, "contract", g("c4"), "--loop", loop,
+                         "--k", "3")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_contract_budget_verdict_is_distinct(capsys):
     code, out, _ = run(capsys, "contract", g("octahedron"), "--loop",
                        "0,1,3,4,0", "--k", "20", "--search-budget", "5",
@@ -280,6 +299,8 @@ def test_catalog_run_verifies(capsys):
 def test_catalog_write_round_trips(capsys, tmp_path):
     code, out, _ = run(capsys, "catalog", "write", "--dir", str(tmp_path))
     assert code == 0
+    lines = out.splitlines()  # verified before anything is written
+    assert lines[lines.index("catalog verified") + 1].endswith("k1.g")
     assert load_graph(str(tmp_path / "k4.g")).n == 4
 
 

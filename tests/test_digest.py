@@ -115,7 +115,7 @@ def test_digest_is_independent_of_when_it_was_taken(name, steps):
     """One digest after an unrecorded run equals the last of a recorded
     one: the incremental caches never change the value."""
     g = graph(name)
-    recorded = run_agent(g, PhasedAgent(), 0, steps, record="digests")
+    recorded = run_agent(g, PhasedAgent(), 0, steps, record=True)
     agent = PhasedAgent()
     run_agent(g, agent, 0, steps)
     assert agent_digest(agent) == recorded.steps[-1].digest

@@ -9,9 +9,9 @@ from binox.catalog import cycle_graph, graph
 from binox.enumeration import (Candidate, bfs_encoding, canonical_encoding,
                                canonical_graphs, edge_sets, find_candidate,
                                port_assignments, raw_graphs)
-from binox.views import ViewInterner, fold_graph, same_view, view_key
+from binox.views import ViewInterner, fold_graph, view_key
 
-from conftest import graph_with_permutation, relabel
+from conftest import graph_with_permutation, relabel, same_view
 
 
 # -- streams ------------------------------------------------------------------------

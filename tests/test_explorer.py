@@ -6,13 +6,13 @@ import pytest
 
 from binox.catalog import graph, vertex_map
 from binox.complexes import is_graph_covering
+from binox.config import Budgets
 from binox.enumeration import canonical_encoding
 from binox.errors import InvalidMove, NotACovering
-from binox.explorer import (PhasedAgent, agent_digest, explore, format_trace,
-                            lift_check, reconstructed_projection, run_agent)
-from binox.graphs import dest
+from binox.explorer import (PhasedAgent, agent_digest, explore, lift_check,
+                            reconstructed_projection, run_agent)
 
-from conftest import relabel
+from conftest import relabel, walk_ports
 
 # (terrain, halting phase, total moves); frozen from verified runs
 HALTING_RUNS = (
@@ -44,7 +44,7 @@ class Scripted:
 
 
 def test_immediate_halt(p2):
-    run = run_agent(p2, Scripted([]), record="steps")
+    run = run_agent(p2, Scripted([]), record=True)
     assert run.halted and not run.budget_exhausted
     assert run.moves == 0
     assert run.final_position == 0
@@ -52,7 +52,7 @@ def test_immediate_halt(p2):
 
 
 def test_scripted_round_trip(p2):
-    run = run_agent(p2, Scripted([0, 0]), record="steps")
+    run = run_agent(p2, Scripted([0, 0]), record=True)
     assert run.halted and run.moves == 2
     assert [s.position for s in run.steps] == [0, 1, 0]
     assert [s.entry for s in run.steps] == [None, 0, 0]
@@ -81,13 +81,10 @@ def test_zero_budget_reports_exhaustion(p2):
 
 def test_record_levels(p2):
     assert run_agent(p2, Scripted([0])).steps == ()
-    steps = run_agent(p2, Scripted([0]), record="steps").steps
-    assert all(s.digest is None for s in steps)
-    digs = run_agent(p2, Scripted([0]), record="digests").steps
+    digs = run_agent(p2, Scripted([0]), record=True).steps
+    assert len(digs) == 2
     assert all(re.fullmatch(r"[0-9a-f]{64}", s.digest) for s in digs)
     assert re.fullmatch(r"[0-9a-f]{64}", agent_digest(Scripted([0, 1])))
-    with pytest.raises(ValueError):
-        run_agent(p2, Scripted([]), record="everything")
 
 
 def test_agent_config_validated():
@@ -129,18 +126,19 @@ def test_square_exhausts_budget(c4):
 def test_exploration_is_positionally_anonymous(k3):
     perm = (2, 0, 1)
     h = relabel(k3, perm)
-    a = explore(k3, start=0, record="steps")
-    b = explore(h, start=perm[0], record="steps")
-    assert [s.action for s in a.run.steps] == [s.action for s in b.run.steps]
-    assert [s.entry for s in a.run.steps] == [s.entry for s in b.run.steps]
-    assert [perm[s.position] for s in a.run.steps] \
-        == [s.position for s in b.run.steps]
+    a = run_agent(k3, PhasedAgent(), 0, record=True)
+    b = run_agent(h, PhasedAgent(), perm[0], record=True)
+    assert a.halted
+    assert [s.action for s in a.steps] == [s.action for s in b.steps]
+    assert [s.entry for s in a.steps] == [s.entry for s in b.steps]
+    assert [perm[s.position] for s in a.steps] \
+        == [s.position for s in b.steps]
 
 
 def test_memory_digests_deterministic(p2):
-    a = explore(p2, record="digests")
-    b = explore(p2, record="digests")
-    assert [s.digest for s in a.run.steps] == [s.digest for s in b.run.steps]
+    a = run_agent(p2, PhasedAgent(), record=True)
+    b = run_agent(p2, PhasedAgent(), record=True)
+    assert [s.digest for s in a.steps] == [s.digest for s in b.steps]
 
 
 def test_hinted_mode_changes_only_computation(k3):
@@ -153,6 +151,16 @@ def test_hinted_mode_changes_only_computation(k3):
 def test_hinted_mode_without_usable_hints_never_halts(k3):
     out = explore(k3, mode="hinted", hints=[], move_budget=3000)
     assert out.status == "budget_exhausted"
+
+
+def test_halting_test_budget_is_a_distinct_phase_verdict(k3):
+    # k3 is the phase-4 candidate, and its one cycle passes a cap of 0
+    out = explore(k3, mode="hinted", hints=[k3], budgets=Budgets(cycles=0),
+                  move_budget=3000)
+    assert out.status == "budget_exhausted"
+    verdicts = {k: verdict for k, _, _, verdict in out.agent.phase_log}
+    assert verdicts[4] == "test_budget_exceeded"
+    assert out.candidate is None
 
 
 def test_nonbacktracking_walk_same_verdict_fewer_moves(p2, k3):
@@ -192,34 +200,12 @@ def test_reconstruction_is_walk_independent(k3):
     words = [(p, q) for p in range(2) for q in range(2)]
     words += [(p, q, r) for p in range(2) for q in range(2) for r in range(2)]
     for w in words:
-        assert f[dest(h, root, w)] == dest(k3, 0, w)
+        assert f[walk_ports(h, root, w)] == walk_ports(k3, 0, w)
 
 
 def test_reconstruction_fails_on_incompatible_shapes(c4, k3):
     assert reconstructed_projection(c4, 0, k3, 0) is None
     assert reconstructed_projection(k3, 0, c4, 0) is None
-
-
-# -- traces -------------------------------------------------------------------------
-
-
-def test_trace_lines_one_per_step(p2):
-    out = explore(p2, record="digests")
-    text = format_trace(p2, out.run)
-    lines = text.splitlines()
-    assert len(lines) == len(out.run.steps)
-    assert all(re.fullmatch(r"\d+ [0-9a-f]{16} [0-9a-f]{64} (halt|\d+) \d+", ln)
-               for ln in lines)
-    assert lines[-1].split()[3] == "halt"
-
-
-def test_trace_marks_missing_digests(p2):
-    out = explore(p2, record="steps")
-    assert " - " in format_trace(p2, out.run).splitlines()[0]
-
-
-def test_trace_of_unrecorded_run_is_empty(p2):
-    assert format_trace(p2, explore(p2).run) == ""
 
 
 # -- lifting ------------------------------------------------------------------------

@@ -5,10 +5,11 @@ from hypothesis import given, settings
 
 from binox.catalog import complete_graph, cycle_graph, graph, path_graph
 from binox.errors import GraphFormatError, UndefinedPort
-from binox.graphs import (PortGraph, dest, format_graph, format_vertex_map,
-                          load_graph, parse_graph, parse_vertex_map, port_word)
+from binox.graphs import (PortGraph, format_graph, format_vertex_map,
+                          load_graph, parse_graph, parse_vertex_map)
 
-from conftest import graph_with_permutation, graph_with_vertex, relabel, small_graphs
+from conftest import (graph_with_permutation, graph_with_vertex, relabel,
+                      small_graphs, walk_ports)
 
 
 # -- construction and validation ------------------------------------------------
@@ -106,29 +107,25 @@ def test_labels_invariant_under_port_isomorphism(gp):
 # -- navigation -------------------------------------------------------------------
 
 
-def test_dest_empty_sequence_is_identity(k3):
-    assert dest(k3, 1, ()) == 1
-
-
 def test_dest_around_consistent_triangle(k3):
     # catalog K3 numbers port 0 toward the successor at every vertex
-    assert dest(k3, 0, (0, 0, 0)) == 0
+    assert walk_ports(k3, 0, (0, 0, 0)) == 0
 
 
 def test_dest_out_and_back_on_edge(p2):
-    assert dest(p2, 0, (0, 0)) == 0
+    assert walk_ports(p2, 0, (0, 0)) == 0
 
 
 def test_dest_raises_on_missing_port(p2):
     with pytest.raises(UndefinedPort):
-        dest(p2, 0, (1,))
+        p2.neighbor(0, 1)
 
 
 @given(small_graphs())
 def test_every_edge_round_trips(g):
     for u, v, pu, pv in g.edges():
-        assert dest(g, u, (pu, pv)) == u
-        assert dest(g, v, (pv, pu)) == v
+        assert g.neighbor(g.neighbor(u, pu), pv) == u
+        assert g.neighbor(g.neighbor(v, pv), pu) == v
 
 
 @given(graph_with_vertex())
@@ -142,11 +139,9 @@ def test_walk_label_and_reversal(gv):
         if g.degree(here) == 0:
             break
         walk.append(g.neighbor(here, 0))
-    walk = tuple(walk)
-    word = port_word(g, walk)
-    assert dest(g, walk[0], word) == walk[-1]
-    back = port_word(g, walk[::-1])
-    assert dest(g, walk[-1], back) == walk[0]
+    for w in (walk, walk[::-1]):  # each port word leads along the walk
+        word = [g.port_to(a, b) for a, b in zip(w, w[1:])]
+        assert walk_ports(g, w[0], word) == w[-1]
 
 
 # -- the radius-1 ball, as the label records it -----------------------------------

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from binox.catalog import graph
 from binox.complexes import clique_complex
 from binox.config import Budgets
-from binox.errors import BudgetExceeded, SearchBudgetExceeded
+from binox.errors import (BudgetExceeded, GraphFormatError,
+                          SearchBudgetExceeded)
 from binox.homotopy import (Move, all_simple_cycles_k_contractible,
                             contraction_certificate, free_reduction,
                             is_k_contractible, min_contraction_moves,
@@ -156,6 +157,19 @@ def test_negative_bound_is_rejected(name):
     cx = clique_complex(graph(name))
     with pytest.raises(ValueError, match="negative move bound"):
         is_k_contractible((0, 1, 0), cx, -1)
+
+
+# (terrain, a vertex not adjacent to 0): free reduction, then the search
+@pytest.mark.parametrize("name, far", [("c4", 2), ("octahedron", 3)])
+def test_invalid_loops_are_rejected(name, far):
+    cx = clique_complex(graph(name))
+    for loop, message in (((), "empty walk"),
+                          ((0, 9, 0), "walk vertex 9 out of range"),
+                          ((0, far, 0), f"walk step 0-{far} is not an edge"),
+                          ((0, 1, 1), "loop does not close: starts at 0, "
+                                      "ends at 1")):
+        with pytest.raises(GraphFormatError, match=message):
+            is_k_contractible(loop, cx, 5)
 
 
 @given(closed_walks(n_max=3))

@@ -78,16 +78,16 @@ class OracleAgent(PhasedAgent):
         return None
 
 
-def oracle_run(g, agent, start, move_budget, record="none"):
+def oracle_run(g, agent, start, move_budget, record=False):
     """The earlier run_agent loop, through PortGraph's accessor methods."""
     pos, entry, moves = start, None, 0
     visited = {start}
     steps = []
     while True:
         action = agent.act((g.label(pos), entry))
-        if record != "none":
-            dg = explorer.agent_digest(agent) if record == "digests" else None
-            steps.append(StepRecord(pos, entry, action, dg))
+        if record:
+            steps.append(StepRecord(pos, entry, action,
+                                    explorer.agent_digest(agent)))
         if action is None:
             return RunResult(True, False, moves, start, pos,
                              frozenset(visited), tuple(steps))
@@ -110,8 +110,8 @@ def assert_same_runs(g, start):
         where = (g.encoding(), start, mode, walk)
         new = PhasedAgent(mode=mode, hints=hints, walk=walk)
         old = OracleAgent(mode=mode, hints=hints, walk=walk)
-        got = run_agent(g, new, start, DIGEST_STEPS, record="digests")
-        want = oracle_run(g, old, start, DIGEST_STEPS, record="digests")
+        got = run_agent(g, new, start, DIGEST_STEPS, record=True)
+        want = oracle_run(g, old, start, DIGEST_STEPS, record=True)
         assert got.steps == want.steps, where
         assert got == want, where
 

@@ -12,6 +12,10 @@ remaining bound.  The unbounded list is checked against a scanning oracle
 that reads the graph and the simplex set instead of the complex's move
 tables, and the bounded list against the unbounded one, filtered by each
 child's own rescanned step counts.
+
+In a triangle-free complex both searches leave out backtrack insertions;
+a check with the oracle keeping them shows they never shorten a
+contraction there.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from binox.config import DEFAULT_BUDGETS, Budgets
 from binox.enumeration import canonical_graphs
 from binox.errors import SearchBudgetExceeded
 
-from conftest import all_closed_walks, rp2_lift_split
+from conftest import all_canonical, all_closed_walks, rp2_lift_split
 
 WALK_STEPS = 6
 SHORT_WALK_STEPS = 3
@@ -142,10 +146,13 @@ def run(moves, fn, *args, **kw):
     return got, moves.calls
 
 
-def searched(moves, loop, cx, k, budgets, **kw):
-    """The oracle's path (None when unreachable) and its call count."""
+def searched(moves, loop, cx, k, budgets, greedy=False):
+    """The oracle's path (None when unreachable) and its call count, with
+    the search's switches: ``greedy`` weights the heuristic 8-fold and
+    drops the insertions, which a triangle-free complex drops too."""
     got, calls = run(moves, rescanning_search, loop, cx, k, budgets,
-                     want_path=True, **kw)
+                     want_path=True, weight=8 if greedy else 1,
+                     insertions=not greedy and cx.dimension >= 2)
     return (got if got == "budget" else got[1]), calls
 
 
@@ -178,8 +185,7 @@ def assert_same_searches(moves, loop, cx, k, budgets):
                         budgets)
 
     assert run(moves, H.contraction_certificate, loop, cx, k, budgets) \
-        == searched(moves, loop, cx, k, budgets, weight=8,
-                    insertions=False), loop
+        == searched(moves, loop, cx, k, budgets, greedy=True), loop
 
 
 def scanning_moves(loop, cx, insertions):
@@ -277,6 +283,26 @@ def test_search_matches_rescanning_oracle_on_small_graphs(moves, n):
         cx = clique_complex(g)
         for loop in all_closed_walks(g, steps):
             assert_same_searches(moves, loop, cx, BOUND, DEFAULT_BUDGETS)
+
+
+def test_insertions_never_help_without_triangles():
+    """On a triangle-free complex the exact search leaves out backtrack
+    insertions.  The oracle with them finds no shorter contraction, and
+    both minima are free reduction's count.  Moves ignore ports, so one
+    port numbering per underlying graph is enough."""
+    shapes = set()
+    for g in all_canonical(4):
+        cx = clique_complex(g)
+        if cx.dimension >= 2 or shape(g) in shapes:
+            continue
+        shapes.add(shape(g))
+        for loop in all_closed_walks(g, WALK_STEPS):
+            reduced, cost = H.free_reduction(loop)
+            want = cost if len(reduced) == 1 and cost <= BOUND else None
+            _, path = rescanning_search(loop, cx, BOUND, DEFAULT_BUDGETS,
+                                        want_path=True)
+            assert (None if path is None else len(path)) == want, loop
+            assert H.min_contraction_moves(loop, cx, BOUND) == want, loop
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

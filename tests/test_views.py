@@ -5,9 +5,9 @@ from hypothesis import given, settings
 
 from binox.catalog import cycle_graph, graph, names, vertex_map
 from binox.views import (ViewInterner, fold_graph, format_view, reintern,
-                         same_view, view_key)
+                         view_key)
 
-from conftest import all_canonical, graph_with_vertex, walk_tree
+from conftest import all_canonical, graph_with_vertex, same_view, walk_tree
 
 K3_VIEW_DEPTH2 = (
     "view depth=2\n"
