@@ -23,7 +23,6 @@ from pathlib import Path
 from typing import Callable
 
 from .complexes import clique_complex, coverings_agree
-from .config import DEFAULT_BUDGETS, Budgets
 from .cover import CoverResult, classify, universal_cover
 from .errors import CatalogVerificationFailed
 from .graphs import PortGraph, format_vertex_map, save_graph
@@ -230,10 +229,9 @@ def _fail(name: str, what: str) -> None:
     raise CatalogVerificationFailed(f"{name}: {what}")
 
 
-def _check_surface(name: str, g: PortGraph, faces, euler: int,
-                   budgets: Budgets) -> None:
+def _check_surface(name: str, g: PortGraph, faces, euler: int) -> None:
     face_set = {tuple(sorted(f)) for f in faces}
-    cx = clique_complex(g, budgets)
+    cx = clique_complex(g)
     if cx.dimension != 2:
         _fail(name, f"clique complex has dimension {cx.dimension}, wanted 2")
     tris = {s for s in cx.simplices if len(s) == 3}
@@ -270,7 +268,7 @@ def _check_surface(name: str, g: PortGraph, faces, euler: int,
         _fail(name, f"Euler characteristic {chi}, wanted {euler}")
 
 
-def verify_catalog(budgets: Budgets = DEFAULT_BUDGETS) -> list[str]:
+def verify_catalog() -> list[str]:
     """Re-derive every entry's expectations; report lines on success."""
     report: list[str] = []
     graphs: dict[str, PortGraph] = {}
@@ -278,8 +276,8 @@ def verify_catalog(budgets: Budgets = DEFAULT_BUDGETS) -> list[str]:
         g = e.build()
         graphs[e.name] = g
         if e.faces is not None:
-            _check_surface(e.name, g, e.faces, e.euler, budgets)
-        got = classify(g, budgets)
+            _check_surface(e.name, g, e.faces, e.euler)
+        got = classify(g)
         if got.kind != e.expected_kind:
             _fail(e.name, f"classified {got.kind}, expected {e.expected_kind}")
         if e.expected_sheets is not None and got.sheets != e.expected_sheets:
@@ -290,7 +288,7 @@ def verify_catalog(budgets: Budgets = DEFAULT_BUDGETS) -> list[str]:
         )
     for m in MAPS:
         f = m.build()
-        verdict = coverings_agree(f, graphs[m.src], graphs[m.dst], budgets)
+        verdict = coverings_agree(f, graphs[m.src], graphs[m.dst])
         if verdict != m.expected_covering:
             _fail(m.name, f"covering verdict {verdict}, expected {m.expected_covering}")
         report.append(f"{m.name}: covering={verdict}")

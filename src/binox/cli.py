@@ -2,18 +2,20 @@
 
 Every subcommand prints a deterministic report and exits 0 whenever a
 verdict was computed, including negative and budget-exceeded verdicts;
-exit 2 means the input could not be used.  ``--porcelain`` switches to
+exit 2 means the input could not be used, and exit 1 that stdout was
+closed before the report was written.  ``--porcelain`` switches to
 stable key=value lines for scripting.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import catalog as cat
 from .complexes import clique_complex, coverings_agree
-from .config import Budgets
+from .config import DEFAULT_BUDGETS, Budgets
 from .cover import classify, universal_cover
 from .enumeration import canonical_graphs
 from .errors import (BinoxError, BudgetExceeded, KernelFault,
@@ -65,21 +67,13 @@ def _nonnegative(value: int, option: str) -> int:
     return value
 
 
-def _budgets(args: argparse.Namespace) -> Budgets:
-    kw = {}
-    if getattr(args, "vertex_budget", None) is not None:
-        kw["cover_vertices"] = args.vertex_budget
-    if getattr(args, "search_budget", None) is not None:
-        kw["search_states"] = args.search_budget
-    return Budgets(**kw)
-
-
 def cmd_explore(args: argparse.Namespace) -> int:
     g = load_graph(args.graph)
+    budget = _nonnegative(args.max_moves, "--max-moves")
     hints = _hint_graphs(args.hints) if args.hints else ()
-    mode = "hinted" if hints else args.mode
-    out = explore(g, start=args.start, move_budget=args.max_moves, mode=mode,
-                  hints=hints, walk=args.walk, budgets=_budgets(args))
+    out = explore(g, start=args.start, move_budget=budget,
+                  mode="hinted" if hints else "exhaustive", hints=hints,
+                  walk=args.walk)
     cand = out.candidate
     pairs = [
         ("status", out.status),
@@ -104,7 +98,8 @@ def cmd_explore(args: argparse.Namespace) -> int:
 
 def cmd_classify(args: argparse.Namespace) -> int:
     g = load_graph(args.graph)
-    got = classify(g, _budgets(args))
+    budget = _nonnegative(args.vertex_budget, "--budget")
+    got = classify(g, Budgets(cover_vertices=budget))
     pairs = [
         ("kind", got.kind),
         ("sheets", got.sheets if got.sheets is not None else "-"),
@@ -123,8 +118,9 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 def cmd_ucover(args: argparse.Namespace) -> int:
     g = load_graph(args.graph)
+    budget = _nonnegative(args.vertex_budget, "--budget")
     res = universal_cover(g, base=_vertex(g, args.base, "--base"),
-                          budgets=_budgets(args))
+                          budgets=Budgets(cover_vertices=budget))
     if not res.finite:
         _emit(args.porcelain, [("status", res.status), ("explored", res.explored)],
               f"development exceeded {res.explored} lifted vertices")
@@ -170,8 +166,9 @@ def cmd_contract(args: argparse.Namespace) -> int:
         raise UsageError(f"--loop {args.loop!r} is not a comma-separated "
                          f"list of vertex numbers") from None
     _nonnegative(args.k, "--k")
-    cx = clique_complex(g, _budgets(args))
-    budgets = _budgets(args)
+    budgets = Budgets(search_states=_nonnegative(args.search_budget,
+                                                 "--search-budget"))
+    cx = clique_complex(g)
     try:
         if args.show_sequence:
             seq = contraction_sequence(loop, cx, args.k, budgets)
@@ -206,10 +203,11 @@ def cmd_lift_check(args: argparse.Namespace) -> int:
     cover = load_graph(args.cover)
     base = load_graph(args.base)
     f = load_vertex_map(args.map, cover, base)
+    steps = _nonnegative(args.steps, "--steps")
     hints = _hint_graphs(args.hints) if args.hints else ()
-    mode = "hinted" if hints else args.mode
     rep = lift_check(cover, base, f, cover_start=args.cover_start,
-                     move_budget=args.steps, mode=mode, hints=hints,
+                     move_budget=steps,
+                     mode="hinted" if hints else "exhaustive", hints=hints,
                      walk=args.walk)
     pairs = [
         ("ok", str(rep.ok).lower()),
@@ -239,7 +237,7 @@ def cmd_view(args: argparse.Namespace) -> int:
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
     total = 0
-    for n in range(1, args.n_max + 1):
+    for n in range(1, _nonnegative(args.n_max, "--n-max") + 1):
         graphs = canonical_graphs(n)
         total += len(graphs)
         if args.count_only:
@@ -275,11 +273,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--porcelain", action="store_true",
                        help="stable key=value output")
         if walk:
-            p.add_argument("--mode", choices=["exhaustive", "hinted"],
-                           default="exhaustive")
             p.add_argument("--hints", metavar="FILE",
                            help="file with one graph path (or catalog:NAME) per "
-                                "line; implies hinted mode")
+                                "line; selects hinted mode")
             p.add_argument("--walk", choices=["full", "nonbacktracking"],
                            default="full")
 
@@ -291,18 +287,20 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, walk=True)
     p.set_defaults(func=cmd_explore)
 
+    vertex_budget = dict(type=int, dest="vertex_budget",
+                         default=DEFAULT_BUDGETS.cover_vertices,
+                         help="lifted vertex cap")
+
     p = sub.add_parser("classify", help="bucket a graph by its universal cover")
     p.add_argument("graph")
-    p.add_argument("--budget", type=int, default=None, dest="vertex_budget",
-                   help="lifted vertex cap")
+    p.add_argument("--budget", **vertex_budget)
     common(p)
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("ucover", help="develop the universal cover")
     p.add_argument("graph")
     p.add_argument("--base", type=int, default=0)
-    p.add_argument("--budget", type=int, default=None, dest="vertex_budget",
-                   help="lifted vertex cap")
+    p.add_argument("--budget", **vertex_budget)
     p.add_argument("--out", metavar="FILE", help="write the cover graph here")
     p.add_argument("--map-out", metavar="FILE", help="write the projection here")
     common(p)
@@ -321,7 +319,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated closed vertex walk, e.g. 0,1,2,0")
     p.add_argument("--k", type=int, required=True, help="move bound")
     p.add_argument("--show-sequence", action="store_true")
-    p.add_argument("--search-budget", type=int, default=None)
+    p.add_argument("--search-budget", type=int,
+                   default=DEFAULT_BUDGETS.search_states)
     common(p)
     p.set_defaults(func=cmd_contract)
 
@@ -358,7 +357,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout surfaces here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader left: not bad input, so no error line; stdout goes to
+        # devnull so that the interpreter's final flush stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except KernelFault:
         raise  # internal invariant broken; full traceback wanted
     except BudgetExceeded as exc:

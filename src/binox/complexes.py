@@ -9,11 +9,12 @@ kernel invariant.
 
 from __future__ import annotations
 
-from .config import DEFAULT_BUDGETS, Budgets
 from .errors import BudgetExceeded, EquivalenceViolation, NotSimplicial
 from .graphs import PortGraph
 
 Simplex = tuple[int, ...]  # strictly increasing vertex tuple
+
+SIMPLEX_BUDGET = 10**6  # enumerated cliques per complex
 
 
 class CliqueComplex:
@@ -70,9 +71,9 @@ class CliqueComplex:
         return got
 
 
-def clique_complex(g: PortGraph, budgets: Budgets = DEFAULT_BUDGETS) -> CliqueComplex:
-    """Enumerate every clique of g; BudgetExceeded past budgets.simplices."""
-    cap = budgets.simplices
+def clique_complex(g: PortGraph) -> CliqueComplex:
+    """Enumerate every clique of g; BudgetExceeded past SIMPLEX_BUDGET."""
+    cap = SIMPLEX_BUDGET
     sims: list[Simplex] = []
     neigh = [frozenset(g.neighbors(v)) for v in g.vertices]
     stack: list[Simplex] = [(v,) for v in reversed(range(g.n))]
@@ -165,8 +166,7 @@ def is_graph_covering(f: dict[int, int], src: PortGraph, dst: PortGraph) -> bool
     return True
 
 
-def coverings_agree(f: dict[int, int], src: PortGraph, dst: PortGraph,
-                    budgets: Budgets = DEFAULT_BUDGETS) -> bool:
+def coverings_agree(f: dict[int, int], src: PortGraph, dst: PortGraph) -> bool:
     """Run both covering definitions; fault if they ever disagree.
 
     Returns the shared verdict.  A map that is not even simplicial cannot
@@ -175,7 +175,7 @@ def coverings_agree(f: dict[int, int], src: PortGraph, dst: PortGraph,
     confirming the graph side agrees.
     """
     gc = is_graph_covering(f, src, dst)
-    ks, kd = clique_complex(src, budgets), clique_complex(dst, budgets)
+    ks, kd = clique_complex(src), clique_complex(dst)
     try:
         sc = is_simplicial_covering(f, ks, kd)
     except NotSimplicial:

@@ -1,4 +1,6 @@
-"""Budget knobs. One frozen dataclass so call sites stay tidy."""
+"""The two caps a caller sets, in one frozen dataclass.  Caps no caller
+varies are constants beside the code that enforces them: SIMPLEX_BUDGET
+in complexes, CYCLE_BUDGET in homotopy and MOVE_BUDGET in explorer."""
 
 from __future__ import annotations
 
@@ -11,8 +13,6 @@ class Budgets:
 
     cover_vertices: int = 500   # lifted vertices per development
     search_states: int = 10**6  # closed loops per contractibility search
-    cycles: int = 10**6         # enumerated simple cycles per graph
-    simplices: int = 10**6      # enumerated cliques per complex
 
 
 DEFAULT_BUDGETS = Budgets()

@@ -160,7 +160,7 @@ def universal_cover(g: PortGraph, base: int = 0, verify: bool = True,
 def _audit(result: CoverResult, g: PortGraph, budgets: Budgets) -> None:
     cover, projection = result.cover, result.projection
     assert cover is not None and projection is not None
-    if not coverings_agree(projection, cover, g, budgets):
+    if not coverings_agree(projection, cover, g):
         raise CoverVerificationFailed(
             "development projection is not a covering"
         )
@@ -181,8 +181,8 @@ def _simply_connected(cover: PortGraph, budgets: Budgets) -> bool:
     if cover.n <= _CYCLE_AUDIT_MAX_VERTICES:
         from .homotopy import is_k_contractible, simple_cycles
         try:
-            cycles = simple_cycles(cover, budgets)
-            cx = clique_complex(cover, budgets)
+            cycles = simple_cycles(cover)
+            cx = clique_complex(cover)
             for cyc in cycles:
                 bound = max(3 * (len(cyc) - 1), 8)
                 if not is_k_contractible(cyc, cx, bound, budgets):

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .complexes import is_graph_covering
-from .config import DEFAULT_BUDGETS, Budgets
 from .enumeration import Candidate, find_candidate
 from .errors import BudgetExceeded, InvalidMove, KernelFault, NotACovering
 from .graphs import Label, PortGraph, port_map
@@ -46,7 +45,7 @@ class PhasedAgent:
     """
 
     def __init__(self, mode: str = "exhaustive", hints: Iterable[PortGraph] = (),
-                 walk: str = "full", budgets: Budgets = DEFAULT_BUDGETS):
+                 walk: str = "full"):
         if walk not in ("full", "nonbacktracking"):
             raise ValueError(f"unknown walk mode {walk!r}")
         if mode not in ("exhaustive", "hinted"):
@@ -55,7 +54,6 @@ class PhasedAgent:
         self.hints = tuple(hints)
         self.walk = walk
         self.nb = walk == "nonbacktracking"
-        self.budgets = budgets
         self.k = 0
         self.table = ViewInterner()  # local: ids depend only on observations
         # frames: [via_port_at_parent, entry_port, label, children, next_port]
@@ -197,8 +195,7 @@ class PhasedAgent:
         if cand is not None:
             cand_enc = cand.graph.encoding()
             try:
-                ok = all_simple_cycles_k_contractible(cand.graph, k,
-                                                      budgets=self.budgets)
+                ok = all_simple_cycles_k_contractible(cand.graph, k)
                 verdict = "contractible" if ok else "not_contractible"
             except BudgetExceeded:
                 ok = False
@@ -242,7 +239,6 @@ class StepRecord:
 @dataclass(frozen=True)
 class RunResult:
     halted: bool
-    budget_exhausted: bool
     moves: int
     start: int
     final_position: int
@@ -279,7 +275,7 @@ def run_agent(g: PortGraph, agent, start: int = 0,
         if record:
             steps.append(StepRecord(pos, entry, action, agent_digest(agent)))
         if action is None:
-            return RunResult(True, False, moves, start, pos,
+            return RunResult(True, moves, start, pos,
                              frozenset(visited), tuple(steps))
         nbrs = adj[pos]
         if type(action) is not int or not 0 <= action < len(nbrs):
@@ -287,7 +283,7 @@ def run_agent(g: PortGraph, agent, start: int = 0,
                 f"agent chose port {action!r} at a degree-{len(nbrs)} vertex"
             )
         if moves >= move_budget:
-            return RunResult(False, True, moves, start, pos,
+            return RunResult(False, moves, start, pos,
                              frozenset(visited), tuple(steps))
         entry = back[pos][action]
         pos = nbrs[action]
@@ -313,10 +309,9 @@ class ExploreOutcome:
 
 def explore(g: PortGraph, start: int = 0, move_budget: int = MOVE_BUDGET,
             mode: str = "exhaustive", hints: Iterable[PortGraph] = (),
-            walk: str = "full",
-            budgets: Budgets = DEFAULT_BUDGETS) -> ExploreOutcome:
+            walk: str = "full") -> ExploreOutcome:
     """One full exploration run; asserts total visitation on halt."""
-    agent = PhasedAgent(mode=mode, hints=hints, walk=walk, budgets=budgets)
+    agent = PhasedAgent(mode=mode, hints=hints, walk=walk)
     run = run_agent(g, agent, start, move_budget)
     if run.halted and run.visited != frozenset(g.vertices):
         raise KernelFault(
@@ -354,8 +349,7 @@ class LiftReport:
 def lift_check(cover: PortGraph, base: PortGraph, projection: dict[int, int],
                cover_start: int = 0, move_budget: int = 10**4,
                mode: str = "exhaustive", hints: Iterable[PortGraph] = (),
-               walk: str = "full",
-               budgets: Budgets = DEFAULT_BUDGETS) -> LiftReport:
+               walk: str = "full") -> LiftReport:
     """Run twin agents on a cover and its base; compare step for step.
 
     The projection must be a covering (NotACovering otherwise).  Equal
@@ -369,7 +363,7 @@ def lift_check(cover: PortGraph, base: PortGraph, projection: dict[int, int],
         raise InvalidMove(f"cover start {cover_start} out of range")
 
     def fresh() -> PhasedAgent:
-        return PhasedAgent(mode=mode, hints=hints, walk=walk, budgets=budgets)
+        return PhasedAgent(mode=mode, hints=hints, walk=walk)
 
     base_run = run_agent(base, fresh(), projection[cover_start], move_budget,
                          record=True)

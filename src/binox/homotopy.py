@@ -31,6 +31,8 @@ from .graphs import PortGraph
 
 Loop = tuple[int, ...]
 
+CYCLE_BUDGET = 10**6  # enumerated simple cycles per graph
+
 
 class Move(NamedTuple):
     """One elementary move.  ``index`` is the position it acts at; ``data``
@@ -325,15 +327,15 @@ def contraction_certificate(loop: Loop, cx: CliqueComplex, k: int,
 # -- simple cycles -----------------------------------------------------------
 
 
-def simple_cycles(g: PortGraph, budgets: Budgets = DEFAULT_BUDGETS) -> list[Loop]:
+def simple_cycles(g: PortGraph) -> list[Loop]:
     """Every simple cycle of length >= 3, once, as a canonical based loop.
 
     Canonical form: starts and ends at the cycle's smallest vertex, and of
     the two directions takes the one whose second vertex is smaller than
     its last.  Output sorted by (length, vertex tuple).  BudgetExceeded
-    past budgets.cycles.
+    past CYCLE_BUDGET.
     """
-    cap = budgets.cycles
+    cap = CYCLE_BUDGET
     found: list[Loop] = []
     for s in g.vertices:
         stack: list[tuple[int, ...]] = [(s,)]
@@ -355,15 +357,14 @@ def simple_cycles(g: PortGraph, budgets: Budgets = DEFAULT_BUDGETS) -> list[Loop
     return found
 
 
-def all_simple_cycles_k_contractible(g: PortGraph, k: int,
-                                     budgets: Budgets = DEFAULT_BUDGETS) -> bool:
+def all_simple_cycles_k_contractible(g: PortGraph, k: int) -> bool:
     """The halting test: every simple cycle contracts within k moves.
 
     Vacuously true on acyclic graphs.  Budget errors propagate rather than
     turning into verdicts.
     """
-    cx = clique_complex(g, budgets)
-    for cyc in simple_cycles(g, budgets):
-        if not is_k_contractible(cyc, cx, k, budgets):
+    cx = clique_complex(g)
+    for cyc in simple_cycles(g):
+        if not is_k_contractible(cyc, cx, k):
             return False
     return True

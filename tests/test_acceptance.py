@@ -143,7 +143,8 @@ def test_criterion_4_trace_lifting():
            "hinted with rp2 the agent takes rp2, whose open-lift cycles "
            "never contract; exhaustive, the development yields the "
            "22-vertex sphere only at k >= 23, whose simple cycles pass "
-           "Budgets.cycles, so that verdict is test_budget_exceeded; the "
+           "homotopy.CYCLE_BUDGET, so that verdict is "
+           "test_budget_exceeded; the "
            "10^4-step budget-run equality above is the realizable check",
 )
 def test_criterion_4_full_halting_run_on_projective_plane():

@@ -1,5 +1,8 @@
 """Command-line surface: outputs, exit codes, and verdict wording."""
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -11,6 +14,7 @@ from binox.errors import KernelFault
 from binox.graphs import load_graph, load_vertex_map
 
 CATALOG = Path(__file__).resolve().parent.parent / "catalog"
+SRC = CATALOG.parent / "src"
 
 
 def g(name: str) -> str:
@@ -327,12 +331,38 @@ def test_malformed_graph_reports_line(capsys, tmp_path):
     ("view", g("k3"), "--vertex", "9", "--depth", "1"),
     ("view", g("k3"), "--depth", "-1"),
     ("ucover", g("k3"), "--base", "7"),
+    ("classify", g("k3"), "--budget", "-1"),
+    ("ucover", g("k3"), "--budget", "-1"),
+    ("contract", g("k3"), "--loop", "0,1,2,0", "--k", "3",
+     "--search-budget", "-1"),
+    ("explore", g("p2"), "--max-moves", "-1"),
+    ("lift-check", g("c8"), g("c4"), m("c8-to-c4"), "--steps", "-1"),
+    ("enumerate", "--n-max", "-1"),
 ])
 def test_bad_arguments_exit_two_with_one_error_line(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("n_max", ["1", "4"])
+def test_closed_stdout_exits_one_without_an_error_line(n_max):
+    # a reader that went away is not unusable input; with buffered stdout
+    # n=1's few lines fail at the final flush, n<=4's thousands mid-print
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "binox.cli", "enumerate", "--n-max", n_max],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == b""
 
 
 def _bad_files(tmp: Path) -> dict:

@@ -6,11 +6,11 @@ from itertools import combinations, product
 import pytest
 from hypothesis import given, settings
 
+from binox import complexes
 from binox.catalog import cycle_graph, graph, vertex_map
 from binox.complexes import (clique_complex, coverings_agree,
                              is_graph_covering, is_simplicial_covering,
                              is_simplicial_map)
-from binox.config import Budgets
 from binox.enumeration import canonical_graphs
 from binox.errors import BudgetExceeded, NotSimplicial
 from binox.graphs import PortGraph
@@ -53,14 +53,16 @@ def test_k4_has_a_solid_tetrahedron(k4):
     assert count_by_dim(cx) == {0: 4, 1: 6, 2: 4, 3: 1}
 
 
-def test_simplex_cap_is_enforced(k4):
+def test_simplex_cap_is_enforced(k4, monkeypatch):
+    monkeypatch.setattr(complexes, "SIMPLEX_BUDGET", 5)
     with pytest.raises(BudgetExceeded):
-        clique_complex(k4, Budgets(simplices=5))
+        clique_complex(k4)
 
 
-def test_simplex_cap_error_says_what_was_capped(k4):
+def test_simplex_cap_error_says_what_was_capped(k4, monkeypatch):
+    monkeypatch.setattr(complexes, "SIMPLEX_BUDGET", 5)
     with pytest.raises(BudgetExceeded) as info:
-        clique_complex(k4, Budgets(simplices=5))
+        clique_complex(k4)
     exc = info.value
     assert (exc.what, exc.cap, exc.reached) == ("simplices", 5, 6)
     assert str(exc) == "more than 5 simplices"

@@ -4,9 +4,9 @@ import re
 
 import pytest
 
+from binox import homotopy
 from binox.catalog import graph, vertex_map
 from binox.complexes import is_graph_covering
-from binox.config import Budgets
 from binox.enumeration import canonical_encoding
 from binox.errors import InvalidMove, NotACovering
 from binox.explorer import (PhasedAgent, agent_digest, explore, lift_check,
@@ -45,7 +45,7 @@ class Scripted:
 
 def test_immediate_halt(p2):
     run = run_agent(p2, Scripted([]), record=True)
-    assert run.halted and not run.budget_exhausted
+    assert run.halted
     assert run.moves == 0
     assert run.final_position == 0
     assert [s.action for s in run.steps] == [None]
@@ -75,7 +75,7 @@ def test_start_out_of_range_faults(p2):
 
 def test_zero_budget_reports_exhaustion(p2):
     run = run_agent(p2, Scripted([0, 0]), move_budget=0)
-    assert run.budget_exhausted and not run.halted
+    assert not run.halted
     assert run.moves == 0
 
 
@@ -153,10 +153,10 @@ def test_hinted_mode_without_usable_hints_never_halts(k3):
     assert out.status == "budget_exhausted"
 
 
-def test_halting_test_budget_is_a_distinct_phase_verdict(k3):
+def test_halting_test_budget_is_a_distinct_phase_verdict(k3, monkeypatch):
     # k3 is the phase-4 candidate, and its one cycle passes a cap of 0
-    out = explore(k3, mode="hinted", hints=[k3], budgets=Budgets(cycles=0),
-                  move_budget=3000)
+    monkeypatch.setattr(homotopy, "CYCLE_BUDGET", 0)
+    out = explore(k3, mode="hinted", hints=[k3], move_budget=3000)
     assert out.status == "budget_exhausted"
     verdicts = {k: verdict for k, _, _, verdict in out.agent.phase_log}
     assert verdicts[4] == "test_budget_exceeded"
@@ -224,7 +224,7 @@ def test_identity_lift_agrees_under_budget(k4):
     f, src, dst = vertex_map("k4_identity")
     rep = lift_check(src, dst, f, move_budget=500)
     assert rep.ok
-    assert rep.base_run.budget_exhausted and rep.cover_run.budget_exhausted
+    assert not rep.base_run.halted and not rep.cover_run.halted
 
 
 def test_cycle_lift_agrees_step_for_step():

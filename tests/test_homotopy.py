@@ -5,6 +5,7 @@ from itertools import combinations, permutations
 import pytest
 from hypothesis import given, settings
 
+from binox import homotopy
 from binox.catalog import graph
 from binox.complexes import clique_complex
 from binox.config import Budgets
@@ -267,14 +268,16 @@ def test_cycles_match_oracle(g):
     assert simple_cycles(g) == cycle_oracle(g)
 
 
-def test_cycle_cap_is_enforced():
+def test_cycle_cap_is_enforced(monkeypatch):
+    monkeypatch.setattr(homotopy, "CYCLE_BUDGET", 10)
     with pytest.raises(BudgetExceeded):
-        simple_cycles(graph("octahedron"), Budgets(cycles=10))
+        simple_cycles(graph("octahedron"))
 
 
-def test_cycle_cap_error_says_what_was_capped():
+def test_cycle_cap_error_says_what_was_capped(monkeypatch):
+    monkeypatch.setattr(homotopy, "CYCLE_BUDGET", 10)
     with pytest.raises(BudgetExceeded) as info:
-        simple_cycles(graph("octahedron"), Budgets(cycles=10))
+        simple_cycles(graph("octahedron"))
     exc = info.value
     assert (exc.what, exc.cap, exc.reached) == ("simple cycles", 10, 11)
     assert str(exc) == "more than 10 simple cycles"
@@ -290,6 +293,7 @@ def test_halting_test_examples(k3, c4):
     assert all_simple_cycles_k_contractible(graph("tree7"), 0)
 
 
-def test_halting_test_propagates_budget_errors(k4):
+def test_halting_test_propagates_budget_errors(k4, monkeypatch):
+    monkeypatch.setattr(homotopy, "CYCLE_BUDGET", 3)
     with pytest.raises(BudgetExceeded):
-        all_simple_cycles_k_contractible(k4, 5, budgets=Budgets(cycles=3))
+        all_simple_cycles_k_contractible(k4, 5)

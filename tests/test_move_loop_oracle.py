@@ -89,14 +89,14 @@ def oracle_run(g, agent, start, move_budget, record=False):
             steps.append(StepRecord(pos, entry, action,
                                     explorer.agent_digest(agent)))
         if action is None:
-            return RunResult(True, False, moves, start, pos,
+            return RunResult(True, moves, start, pos,
                              frozenset(visited), tuple(steps))
         deg = g.degree(pos)
         if not isinstance(action, int) or not 0 <= action < deg:
             raise InvalidMove(f"agent chose port {action!r} at a "
                               f"degree-{deg} vertex")
         if moves >= move_budget:
-            return RunResult(False, True, moves, start, pos,
+            return RunResult(False, moves, start, pos,
                              frozenset(visited), tuple(steps))
         entry = g.back_port(pos, action)
         pos = g.neighbor(pos, action)
