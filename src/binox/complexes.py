@@ -18,10 +18,17 @@ SIMPLEX_BUDGET = 10**6  # enumerated cliques per complex
 
 
 class CliqueComplex:
-    """All cliques of a graph, organized for star and triangle lookups.
+    """All cliques of a graph, organized for covering checks and moves.
 
-    Move tables for ``homotopy.neighbor_moves``, built once.  Inserted
-    vertices come as ready tuples, so a child loop is two concatenations:
+    Tables built once, in one pass over the simplices:
+
+    * ``by_dim[d]``: the d-simplices, ascending;
+    * ``stars[v]``: the simplices containing v, as a tuple, and
+      ``star_sets[v]`` the same as a frozenset;
+    * ``edge_ports``: the graph's edges as (u, v, pu, pv), u < v.
+
+    Move tables for ``homotopy.neighbor_moves``.  Inserted vertices come
+    as ready tuples, so a child loop is two concatenations:
 
     * ``back_steps[v]``: ``(w,)`` for each neighbor w of v, in port order;
     * ``thirds[u, v]``: ``(w,)`` for each triangle {u, v, w}, w ascending,
@@ -34,23 +41,33 @@ class CliqueComplex:
     * ``triangle_circuits``: every walk (u, x, y, u) around a triangle.
     """
 
-    __slots__ = ("graph", "simplices", "dimension", "_stars", "back_steps",
-                 "thirds", "triangle_pairs", "backtracks", "triangle_paths",
+    __slots__ = ("graph", "simplices", "dimension", "by_dim", "stars",
+                 "star_sets", "edge_ports", "back_steps", "thirds",
+                 "triangle_pairs", "backtracks", "triangle_paths",
                  "triangle_circuits")
 
     def __init__(self, graph: PortGraph, simplices: frozenset[Simplex]):
         self.graph = graph
         self.simplices = simplices
-        self.dimension = max(len(s) for s in simplices) - 1
-        self._stars: dict[int, frozenset[Simplex]] = {}
+        self.dimension = max(map(len, simplices)) - 1
+        by_dim: list[list[Simplex]] = [[] for _ in range(self.dimension + 1)]
+        stars: list[list[Simplex]] = [[] for _ in graph.vertices]
+        for s in simplices:
+            by_dim[len(s) - 1].append(s)
+            for v in s:
+                stars[v].append(s)
+        self.by_dim = tuple(tuple(sorted(ds)) for ds in by_dim)
+        self.stars = tuple(map(tuple, stars))
+        self.star_sets = tuple(map(frozenset, stars))
+        self.edge_ports = tuple(graph.edges())
         self.back_steps = tuple(tuple((w,) for w in graph.neighbors(v))
                                 for v in graph.vertices)
         self.backtracks = frozenset((u, w, u) for u in graph.vertices
                                     for w in graph.neighbors(u))
         thirds: dict[tuple[int, int], list[tuple[int]]] = {}
         pairs: list[list[tuple[int, int]]] = [[] for _ in graph.vertices]
-        for s in sorted(s for s in simplices if len(s) == 3):
-            a, b, c = s
+        triangles = self.by_dim[2] if self.dimension >= 2 else ()
+        for a, b, c in triangles:
             for u, v, w in ((a, b, c), (a, c, b), (b, c, a)):
                 thirds.setdefault((u, v), []).append((w,))
                 thirds.setdefault((v, u), []).append((w,))
@@ -61,14 +78,6 @@ class CliqueComplex:
             (u, w, v) for (u, v), ws in thirds.items() for (w,) in ws)
         self.triangle_circuits = frozenset(
             (u, x, y, u) for u, xy in enumerate(pairs) for x, y in xy)
-
-    def star(self, v: int) -> frozenset[Simplex]:
-        """Simplices containing v."""
-        got = self._stars.get(v)
-        if got is None:
-            got = frozenset(s for s in self.simplices if v in s)
-            self._stars[v] = got
-        return got
 
 
 def clique_complex(g: PortGraph) -> CliqueComplex:
@@ -103,39 +112,57 @@ def _check_total(f: dict[int, int], src: PortGraph, dst: PortGraph) -> None:
             raise NotSimplicial(f"image {f[u]} of vertex {u} out of range")
 
 
-def is_simplicial_map(f: dict[int, int], src: CliqueComplex,
-                      dst: CliqueComplex) -> bool:
-    """Does f send every simplex of src onto a simplex of dst?"""
-    _check_total(f, src.graph, dst.graph)
-    for s in src.simplices:
-        if tuple(sorted({f[v] for v in s})) not in dst.simplices:
-            return False
-    return True
-
-
 def is_simplicial_covering(f: dict[int, int], src: CliqueComplex,
                            dst: CliqueComplex) -> bool:
     """Star-bijection test: f restricted to each star is a bijection.
 
-    Requires f to be simplicial (NotSimplicial otherwise) and checks, for
-    every vertex v of src, that s -> f(s) maps the star of v injectively
-    ONTO the star of f(v).
+    Requires f to be simplicial, sending every simplex of src onto a
+    simplex of dst (NotSimplicial otherwise), and checks, for every vertex
+    v of src, that s -> f(s) maps the star of v injectively ONTO the star
+    of f(v).
 
     Clique complexes of port graphs are labeled objects: each edge simplex
     carries its two port numbers, and the map must preserve them too.  The
     star test alone is strictly weaker than the port-graph covering notion:
     any port-breaking automorphism of the underlying complex passes it.
     """
-    if not is_simplicial_map(f, src, dst):
+    _check_total(f, src.graph, dst.graph)
+    # each simplex's image, computed once; dimensions 0-2 by hand
+    image: dict[Simplex, Simplex] = {}
+    for dim, simplices in enumerate(src.by_dim):
+        if dim == 0:
+            for s in simplices:
+                image[s] = (f[s[0]],)
+        elif dim == 1:
+            for s in simplices:
+                a, b = f[s[0]], f[s[1]]
+                image[s] = (a, b) if a < b else (b, a) if b < a else (a,)
+        elif dim == 2:
+            for s in simplices:
+                a, b, c = f[s[0]], f[s[1]], f[s[2]]
+                if a > b:
+                    a, b = b, a
+                if b > c:
+                    b, c = c, b
+                    if a > b:
+                        a, b = b, a
+                if a < b:
+                    image[s] = (a, b, c) if b < c else (a, b)
+                else:
+                    image[s] = (a, c) if b < c else (a,)
+        else:
+            for s in simplices:
+                image[s] = tuple(sorted({f[v] for v in s}))
+    if not dst.simplices.issuperset(image.values()):
         raise NotSimplicial("map is not simplicial; star test undefined")
-    for v in src.graph.vertices:
-        images = [tuple(sorted({f[x] for x in s})) for s in src.star(v)]
-        if len(set(images)) != len(images):
-            return False
-        if set(images) != dst.star(f[v]):
+    # equal sizes and equal sets: the star maps bijectively
+    get = image.__getitem__
+    for v, star in enumerate(src.stars):
+        want = dst.star_sets[f[v]]
+        if len(star) != len(want) or set(map(get, star)) != want:
             return False
     port_to = dst.graph.port_to
-    for u, v, pu, pv in src.graph.edges():
+    for u, v, pu, pv in src.edge_ports:
         # the star test makes f(u) and f(v) adjacent
         if port_to(f[u], f[v]) != pu or port_to(f[v], f[u]) != pv:
             return False

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 class Budgets:
     """Hard caps; exceeding one yields an explicit verdict, never silence."""
 
-    cover_vertices: int = 500   # lifted vertices per development
+    cover_vertices: int = 500   # lifted vertices per development, root included
     search_states: int = 10**6  # closed loops per contractibility search
 
 

@@ -47,7 +47,8 @@ class CoverResult:
 
 def develop(label, neighbor, root, budget: int, same=operator.eq):
     """Star completion over a vertex source.  Returns (lift, ladj), or None
-    when a fresh vertex would pass the budget or the source's horizon.
+    when the lifted vertices, the root included, would outnumber the budget
+    or a fresh vertex would pass the source's horizon.
 
     The source is two functions on its nodes: ``label(x)`` and
     ``neighbor(x, p)``, the node reached through port p (None past the
@@ -58,6 +59,8 @@ def develop(label, neighbor, root, budget: int, same=operator.eq):
     i to a lifted neighbor.  Deterministic: lifted vertices are completed
     in creation order, ports in ascending order.
     """
+    if budget < 1:
+        return None
     lift: list = [root]
     ladj: list[dict[int, int]] = [dict()]
     i = 0

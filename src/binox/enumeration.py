@@ -171,9 +171,8 @@ def find_candidate(vk: ViewKey, k: int, mode: str = "exhaustive",
     def child(x: int, p: int) -> int | None:  # None past the horizon
         return next((c for q, _, c in table.key(x)[1] if q == p), None)
 
-    # the root is the first lifted vertex, so k = 1 leaves room for none
     dev = develop(label, child, vk.ident, k - 1,
-                  lambda x, y: label(x) == label(y)) if k > 1 else None
+                  lambda x, y: label(x) == label(y))
     if dev is None:
         return None
     h = lifted_graph(*dev, label)

@@ -123,6 +123,16 @@ def test_classify_budget_verdict_is_distinct(capsys):
                               "cover_size": "-"}
 
 
+def test_classify_budget_counts_the_root(capsys):
+    code, out, _ = run(capsys, "classify", g("k1"), "--budget", "0",
+                       "--porcelain")
+    assert code == 0
+    assert porcelain(out)["kind"] == "exceeds_budget"
+    code, out, _ = run(capsys, "classify", g("k1"), "--budget", "1")
+    assert code == 0
+    assert out.strip() == "simply connected (its own universal cover, 1 vertices)"
+
+
 def test_classify_finite_cover(capsys):
     code, out, _ = run(capsys, "classify", g("rp2"), "--porcelain")
     assert code == 0

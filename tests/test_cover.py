@@ -5,7 +5,7 @@ from itertools import permutations
 import pytest
 from hypothesis import given, settings
 
-from binox.catalog import graph
+from binox.catalog import ENTRIES, graph
 from binox.complexes import coverings_agree, is_graph_covering
 from binox.config import Budgets
 from binox.cover import classify, isomorphism, universal_cover
@@ -48,6 +48,19 @@ def test_c5_development_never_closes():
     res = universal_cover(graph("c5"), budgets=Budgets(cover_vertices=200))
     assert not res.finite
     assert res.explored == 200
+
+
+@pytest.mark.parametrize("e", [e for e in ENTRIES
+                               if e.expected_kind != "exceeds_budget"],
+                         ids=lambda e: e.name)
+def test_the_budget_counts_every_lifted_vertex(e):
+    g = e.build()
+    n = e.expected_sheets * g.n
+    short = universal_cover(g, verify=False,
+                            budgets=Budgets(cover_vertices=n - 1))
+    assert short.status == "budget_exceeded" and short.explored == n - 1
+    exact = universal_cover(g, verify=False, budgets=Budgets(cover_vertices=n))
+    assert exact.finite and exact.explored == n
 
 
 def test_projective_plane_has_a_double_cover():
