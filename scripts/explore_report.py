@@ -6,9 +6,9 @@ develops the universal cover from the agent's view, so a terrain halts
 once its walk reaches the phase above its cover's size: tree7 at phase 8
 (94 moves with --walk nonbacktracking, 272,896 with the full walk), the
 octahedron at phase 7 with --walk nonbacktracking --budget 30000000.
---hinted feeds each terrain its own description as the only candidate.
 
-Run: python3 scripts/explore_report.py [names...] [--budget N] [--hinted]
+Run: python3 scripts/explore_report.py [names...] [--budget N]
+     [--walk full|nonbacktracking]
 """
 
 import argparse
@@ -25,8 +25,6 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("names", nargs="*", default=list(DEFAULT_NAMES))
     ap.add_argument("--budget", type=int, default=10**6, help="move budget")
-    ap.add_argument("--hinted", action="store_true",
-                    help="hint each terrain with its own description")
     ap.add_argument("--walk", choices=("full", "nonbacktracking"),
                     default="full")
     ap.add_argument("--list", action="store_true",
@@ -43,11 +41,8 @@ def main(argv=None):
     print("-" * len(header))
     for name in args.names:
         g = graph(name)
-        kw = dict(move_budget=args.budget, walk=args.walk)
-        if args.hinted:
-            kw.update(mode="hinted", hints=[g])
         t0 = time.monotonic()
-        out = explore(g, **kw)
+        out = explore(g, move_budget=args.budget, walk=args.walk)
         dt = time.monotonic() - t0
         phase = out.halt_phase if out.halt_phase is not None else "-"
         seen = f"{len(out.visited)}/{g.n}"

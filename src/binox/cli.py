@@ -22,28 +22,9 @@ from .errors import (BinoxError, BudgetExceeded, KernelFault,
                      SearchBudgetExceeded, UsageError)
 from .explorer import MOVE_BUDGET, explore, lift_check
 from .graphs import (format_graph, format_vertex_map, load_graph,
-                     load_vertex_map, read_text, save_graph)
+                     load_vertex_map, save_graph)
 from .homotopy import contraction_sequence, is_k_contractible
 from .views import ViewInterner, fold_graph, format_view
-
-
-def _hint_graphs(path: str):
-    hints = []
-    for lineno, raw in enumerate(read_text(path).splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("catalog:"):
-            name = line[len("catalog:"):]
-            if name not in cat.names():
-                raise UsageError(f"{path}: line {lineno}: no catalog graph "
-                                 f"named {name!r}")
-            hints.append(cat.graph(name))
-        elif "\0" in line:
-            raise UsageError(f"{path}: line {lineno}: NUL byte in a path")
-        else:
-            hints.append(load_graph(line))
-    return hints
 
 
 def _emit(porcelain: bool, pairs: list[tuple[str, object]], human: str) -> None:
@@ -70,10 +51,7 @@ def _nonnegative(value: int, option: str) -> int:
 def cmd_explore(args: argparse.Namespace) -> int:
     g = load_graph(args.graph)
     budget = _nonnegative(args.max_moves, "--max-moves")
-    hints = _hint_graphs(args.hints) if args.hints else ()
-    out = explore(g, start=args.start, move_budget=budget,
-                  mode="hinted" if hints else "exhaustive", hints=hints,
-                  walk=args.walk)
+    out = explore(g, start=args.start, move_budget=budget, walk=args.walk)
     cand = out.candidate
     pairs = [
         ("status", out.status),
@@ -204,11 +182,8 @@ def cmd_lift_check(args: argparse.Namespace) -> int:
     base = load_graph(args.base)
     f = load_vertex_map(args.map, cover, base)
     steps = _nonnegative(args.steps, "--steps")
-    hints = _hint_graphs(args.hints) if args.hints else ()
     rep = lift_check(cover, base, f, cover_start=args.cover_start,
-                     move_budget=steps,
-                     mode="hinted" if hints else "exhaustive", hints=hints,
-                     walk=args.walk)
+                     move_budget=steps, walk=args.walk)
     pairs = [
         ("ok", str(rep.ok).lower()),
         ("steps_compared", rep.steps_compared),
@@ -273,9 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--porcelain", action="store_true",
                        help="stable key=value output")
         if walk:
-            p.add_argument("--hints", metavar="FILE",
-                           help="file with one graph path (or catalog:NAME) per "
-                                "line; selects hinted mode")
             p.add_argument("--walk", choices=["full", "nonbacktracking"],
                            default="full")
 
@@ -370,7 +342,12 @@ def main(argv: list[str] | None = None) -> int:
     except BudgetExceeded as exc:
         # budgets on subsidiary structures (cliques, cycles) surface as a
         # verdict-style line, still exit 0: the computation answered
-        print(f"budget_exceeded: {exc}")
+        what, cap, reached = ("-" if x is None else x
+                              for x in (exc.what, exc.cap, exc.reached))
+        _emit(getattr(args, "porcelain", False),
+              [("status", "budget_exceeded"), ("what", what), ("cap", cap),
+               ("reached", reached)],
+              f"budget_exceeded: {exc} ({what}: {reached} of cap {cap})")
         return 0
     except (BinoxError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

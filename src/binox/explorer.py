@@ -348,11 +348,11 @@ class LiftReport:
 
 def lift_check(cover: PortGraph, base: PortGraph, projection: dict[int, int],
                cover_start: int = 0, move_budget: int = 10**4,
-               mode: str = "exhaustive", hints: Iterable[PortGraph] = (),
                walk: str = "full") -> LiftReport:
     """Run twin agents on a cover and its base; compare step for step.
 
-    The projection must be a covering (NotACovering otherwise).  Equal
+    Both twins are fresh exhaustive agents with the given walk.  The
+    projection must be a covering (NotACovering otherwise).  Equal
     observation histories force equal actions and equal memory digests, and
     the cover run's position must project to the base run's position at
     every step; the report records the first step where any of that fails.
@@ -363,7 +363,7 @@ def lift_check(cover: PortGraph, base: PortGraph, projection: dict[int, int],
         raise InvalidMove(f"cover start {cover_start} out of range")
 
     def fresh() -> PhasedAgent:
-        return PhasedAgent(mode=mode, hints=hints, walk=walk)
+        return PhasedAgent(walk=walk)
 
     base_run = run_agent(base, fresh(), projection[cover_start], move_budget,
                          record=True)

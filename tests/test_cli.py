@@ -94,15 +94,6 @@ def test_explore_nonbacktracking_flag(capsys):
     assert (kv["status"], kv["halt_phase"], kv["moves"]) == ("halted", "4", "80")
 
 
-def test_explore_hints_file(capsys, tmp_path):
-    hints = tmp_path / "hints.txt"
-    hints.write_text("# try the terrain itself\ncatalog:k3\n", encoding="utf-8")
-    code, out, _ = run(capsys, "explore", g("k3"), "--hints", str(hints),
-                       "--porcelain")
-    assert code == 0
-    assert porcelain(out)["status"] == "halted"
-
-
 # -- classify / ucover --------------------------------------------------------------
 
 
@@ -243,20 +234,39 @@ def test_contract_budget_verdict_is_distinct(capsys):
     assert porcelain(out)["verdict"] == "contractible"
 
 
+@pytest.mark.parametrize("argv", [
+    ("contract", g("k4"), "--loop", "0,1,2,0", "--k", "3"),
+    ("cover-check", g("k4"), g("k4"), m("k4-identity")),
+], ids=["contract", "cover-check"])
+def test_budget_exceeded_names_its_cap(capsys, monkeypatch, argv):
+    # k4's clique complex has 15 simplices
+    monkeypatch.setattr("binox.complexes.SIMPLEX_BUDGET", 10)
+    code, out, _ = run(capsys, *argv, "--porcelain")
+    assert code == 0
+    assert porcelain(out) == {"status": "budget_exceeded", "what": "simplices",
+                              "cap": "10", "reached": "11"}
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out == ("budget_exceeded: more than 10 simplices "
+                   "(simplices: 11 of cap 10)\n")
+
+
 # -- lift-check ---------------------------------------------------------------------
 
 
 def test_lift_check_porcelain(capsys):
-    code, out, _ = run(capsys, "lift-check", g("c8"), g("c4"),
-                       m("c8-to-c4"), "--steps", "2000", "--porcelain")
-    assert code == 0
-    assert porcelain(out) == {
-        "ok": "true",
-        "steps_compared": "2001",
-        "first_divergence": "-",
-        "base_halted": "false",
-        "cover_halted": "false",
-    }
+    for walk in ("full", "nonbacktracking"):
+        code, out, _ = run(capsys, "lift-check", g("c8"), g("c4"),
+                           m("c8-to-c4"), "--steps", "2000", "--walk", walk,
+                           "--porcelain")
+        assert code == 0
+        assert porcelain(out) == {
+            "ok": "true",
+            "steps_compared": "2001",
+            "first_divergence": "-",
+            "base_halted": "false",
+            "cover_halted": "false",
+        }
 
 
 def test_lift_check_requires_covering(capsys):
@@ -375,10 +385,21 @@ def test_closed_stdout_exits_one_without_an_error_line(n_max):
     assert proc.stderr == b""
 
 
+@pytest.mark.parametrize("argv", [
+    ("explore", g("k1")),
+    ("lift-check", g("c8"), g("c4"), m("c8-to-c4")),
+], ids=["explore", "lift-check"])
+def test_hints_option_is_gone(capsys, tmp_path, argv):
+    hints = tmp_path / "hints.txt"
+    hints.write_text("catalog:p2\n", encoding="utf-8")
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--hints", str(hints)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --hints" in capsys.readouterr().err
+
+
 def _bad_files(tmp: Path) -> dict:
     files = {
-        "unknown_hint": "# a catalog name that does not exist\ncatalog:k9\n",
-        "not_utf8_hints": b"catalog:k3\n\xff\xfe\n",
         "not_utf8.g": b"v 2\ne 0 1 0 0 # \xe9t\xe9\n",
         "not_utf8.map": b"m 0 0\n\x80\n",
         "huge.g": "v 1000000000\n",
@@ -393,13 +414,14 @@ def _bad_files(tmp: Path) -> dict:
 
 
 @pytest.mark.parametrize("argv, names", [
-    (("explore", g("k3"), "--hints", "unknown_hint"), "line 2"),
-    (("explore", g("k3"), "--hints", "not_utf8_hints"), "not_utf8_hints"),
     (("explore", "not_utf8.g"), "not_utf8.g"),
     (("classify", "not_utf8.g"), "not_utf8.g"),
     (("cover-check", "not_utf8.g", g("p2"), m("c8-to-c4")), "not_utf8.g"),
     (("cover-check", g("k4"), g("k4"), "not_utf8.map"), "not_utf8.map"),
     (("classify", "huge.g"), "disconnected"),
+], ids=[  # fixed, so that each case keeps its name when rows come and go
+    "argv2-not_utf8.g", "argv3-not_utf8.g", "argv4-not_utf8.g",
+    "argv5-not_utf8.map", "argv6-disconnected",
 ])
 def test_bad_files_exit_two_with_one_error_line(capsys, tmp_path, argv, names):
     files = _bad_files(tmp_path)
@@ -477,37 +499,26 @@ def _file_bytes(draw, lines):
 
 _graph_lines = st.one_of(
     _line, st.sampled_from((CATALOG / "p3.g").read_text().splitlines()))
-_hint_lines = st.one_of(
-    st.sampled_from(["catalog:k3", "catalog:p2", "catalog:", "catalog:k9",
-                     "catalog:K3", "no/such/file.g", "FUZZ_GRAPH"]),
-    st.text(max_size=8).map(lambda t: "catalog:" + t), _line)
 
 
 @settings(max_examples=80, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(graph=_file_bytes(_graph_lines), vmap=_file_bytes(_line),
-       hints=_file_bytes(_hint_lines),
        cmd=st.sampled_from(["explore", "classify", "cover-check",
                             "cover-check-map"]))
-def test_fuzzed_files_exit_zero_or_two(capsys, tmp_path, graph, vmap, hints,
-                                       cmd):
-    """Graph, map and hint files with bad records, huge and negative
-    integers, raw bytes and catalog lines: exit 0 or 2 with one error
-    line; only a KernelFault may escape."""
-    gpath, mpath, hpath = (tmp_path / "fuzz.g", tmp_path / "fuzz.map",
-                           tmp_path / "hints")
+def test_fuzzed_files_exit_zero_or_two(capsys, tmp_path, graph, vmap, cmd):
+    """Graph and map files with bad records, huge and negative integers
+    and raw bytes: exit 0 or 2 with one error line; only a KernelFault
+    may escape."""
+    gpath, mpath = tmp_path / "fuzz.g", tmp_path / "fuzz.map"
     gpath.write_bytes(graph)
     mpath.write_bytes(vmap)
-    hpath.write_bytes(hints.replace(b"FUZZ_GRAPH", str(gpath).encode()))
     argv = {
         "explore": ["explore", str(gpath), "--max-moves", "300"],
         "classify": ["classify", str(gpath)],
         "cover-check": ["cover-check", str(gpath), g("p3"), m("k4-identity")],
         "cover-check-map": ["cover-check", g("k3"), g("k3"), str(mpath)],
     }[cmd]
-    if cmd == "explore" and hints:
-        argv = ["explore", g("k3"), "--max-moves", "300", "--hints",
-                str(hpath)]
     try:
         code, _, err = run(capsys, *argv)
     except KernelFault:
