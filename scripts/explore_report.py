@@ -30,6 +30,13 @@ def main(argv=None):
     ap.add_argument("--list", action="store_true",
                     help="list catalog names and exit")
     args = ap.parse_args(argv)
+    # checked here, not by choices=: on Python 3.11 choices rejects the
+    # default list of a nargs="*" positional
+    unknown = [n for n in args.names if n not in names()]
+    if unknown:
+        ap.error(f"unknown catalog names: {' '.join(unknown)} (see --list)")
+    if args.budget < 0:
+        ap.error(f"--budget must be >= 0, got {args.budget}")
 
     if args.list:
         print("\n".join(names()))

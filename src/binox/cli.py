@@ -42,16 +42,24 @@ def _vertex(g, v: int, option: str) -> int:
     return v
 
 
-def _nonnegative(value: int, option: str) -> int:
+def _count(text: str) -> int:  # argparse type of counts and budgets
+    try:
+        value = int(text)
+    except ValueError:  # worded as argparse words it for type=int
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
     if value < 0:
-        raise UsageError(f"{option} must be >= 0, got {value}")
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
     return value
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):  # main() prints it as one line, exit 2
+        raise UsageError(message)
 
 
 def cmd_explore(args: argparse.Namespace) -> int:
     g = load_graph(args.graph)
-    budget = _nonnegative(args.max_moves, "--max-moves")
-    out = explore(g, start=args.start, move_budget=budget, walk=args.walk)
+    out = explore(g, start=args.start, move_budget=args.max_moves, walk=args.walk)
     cand = out.candidate
     pairs = [
         ("status", out.status),
@@ -76,8 +84,7 @@ def cmd_explore(args: argparse.Namespace) -> int:
 
 def cmd_classify(args: argparse.Namespace) -> int:
     g = load_graph(args.graph)
-    budget = _nonnegative(args.vertex_budget, "--budget")
-    got = classify(g, Budgets(cover_vertices=budget))
+    got = classify(g, Budgets(cover_vertices=args.vertex_budget))
     pairs = [
         ("kind", got.kind),
         ("sheets", got.sheets if got.sheets is not None else "-"),
@@ -96,9 +103,8 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 def cmd_ucover(args: argparse.Namespace) -> int:
     g = load_graph(args.graph)
-    budget = _nonnegative(args.vertex_budget, "--budget")
     res = universal_cover(g, base=_vertex(g, args.base, "--base"),
-                          budgets=Budgets(cover_vertices=budget))
+                          budgets=Budgets(cover_vertices=args.vertex_budget))
     if not res.finite:
         _emit(args.porcelain, [("status", res.status), ("explored", res.explored)],
               f"development exceeded {res.explored} lifted vertices")
@@ -143,9 +149,7 @@ def cmd_contract(args: argparse.Namespace) -> int:
     except ValueError:
         raise UsageError(f"--loop {args.loop!r} is not a comma-separated "
                          f"list of vertex numbers") from None
-    _nonnegative(args.k, "--k")
-    budgets = Budgets(search_states=_nonnegative(args.search_budget,
-                                                 "--search-budget"))
+    budgets = Budgets(search_states=args.search_budget)
     cx = clique_complex(g)
     try:
         if args.show_sequence:
@@ -181,9 +185,8 @@ def cmd_lift_check(args: argparse.Namespace) -> int:
     cover = load_graph(args.cover)
     base = load_graph(args.base)
     f = load_vertex_map(args.map, cover, base)
-    steps = _nonnegative(args.steps, "--steps")
     rep = lift_check(cover, base, f, cover_start=args.cover_start,
-                     move_budget=steps, walk=args.walk)
+                     move_budget=args.steps, walk=args.walk)
     pairs = [
         ("ok", str(rep.ok).lower()),
         ("steps_compared", rep.steps_compared),
@@ -204,15 +207,15 @@ def cmd_lift_check(args: argparse.Namespace) -> int:
 def cmd_view(args: argparse.Namespace) -> int:
     g = load_graph(args.graph)
     v = _vertex(g, args.vertex, "--vertex")
-    depth = _nonnegative(args.depth, "--depth")
     table = ViewInterner()
-    sys.stdout.write(format_view(table, fold_graph(g, v, depth, table), depth))
+    sys.stdout.write(format_view(table, fold_graph(g, v, args.depth, table),
+                                 args.depth))
     return 0
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
     total = 0
-    for n in range(1, _nonnegative(args.n_max, "--n-max") + 1):
+    for n in range(1, args.n_max + 1):
         graphs = canonical_graphs(n)
         total += len(graphs)
         if args.count_only:
@@ -236,8 +239,8 @@ def cmd_catalog(args: argparse.Namespace) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+def build_parser() -> _Parser:
+    ap = _Parser(
         prog="binox",
         description="Explore port graphs with radius-1 sensing; analyze views, "
                     "coverings, loop contraction, and universal covers.",
@@ -254,12 +257,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("explore", help="run the phased exploring agent")
     p.add_argument("graph")
     p.add_argument("--start", type=int, default=0)
-    p.add_argument("--max-moves", type=int, default=MOVE_BUDGET,
+    p.add_argument("--max-moves", type=_count, default=MOVE_BUDGET,
                    help="move budget")
     common(p, walk=True)
     p.set_defaults(func=cmd_explore)
 
-    vertex_budget = dict(type=int, dest="vertex_budget",
+    vertex_budget = dict(type=_count, dest="vertex_budget",
                          default=DEFAULT_BUDGETS.cover_vertices,
                          help="lifted vertex cap")
 
@@ -289,9 +292,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph")
     p.add_argument("--loop", required=True,
                    help="comma-separated closed vertex walk, e.g. 0,1,2,0")
-    p.add_argument("--k", type=int, required=True, help="move bound")
+    p.add_argument("--k", type=_count, required=True, help="move bound")
     p.add_argument("--show-sequence", action="store_true")
-    p.add_argument("--search-budget", type=int,
+    p.add_argument("--search-budget", type=_count,
                    default=DEFAULT_BUDGETS.search_states)
     common(p)
     p.set_defaults(func=cmd_contract)
@@ -301,19 +304,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("base")
     p.add_argument("map", help="projection file, cover vertex -> base vertex")
     p.add_argument("--cover-start", type=int, default=0)
-    p.add_argument("--steps", type=int, default=10**4, help="move budget")
+    p.add_argument("--steps", type=_count, default=10**4, help="move budget")
     common(p, walk=True)
     p.set_defaults(func=cmd_lift_check)
 
     p = sub.add_parser("view", help="print a small view tree")
     p.add_argument("graph")
     p.add_argument("--vertex", type=int, default=0)
-    p.add_argument("--depth", type=int, required=True)
+    p.add_argument("--depth", type=_count, required=True)
     p.set_defaults(func=cmd_view)
 
     p = sub.add_parser("enumerate",
                        help="canonical connected port graphs by size")
-    p.add_argument("--n-max", type=int, required=True)
+    p.add_argument("--n-max", type=_count, required=True)
     p.add_argument("--count-only", action="store_true")
     p.set_defaults(func=cmd_enumerate)
 
@@ -327,8 +330,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)  # exits only for --help
         code = args.func(args)
         sys.stdout.flush()  # a closed stdout surfaces here, not at exit
         return code

@@ -22,8 +22,7 @@ from dataclasses import dataclass
 
 from .complexes import clique_complex, coverings_agree, is_graph_covering
 from .config import DEFAULT_BUDGETS, Budgets
-from .errors import (BudgetExceeded, CoverVerificationFailed, InconsistentStar,
-                     SearchBudgetExceeded)
+from .errors import BudgetExceeded, CoverVerificationFailed, InconsistentStar
 from .graphs import PortGraph, port_map
 
 # beyond this many cover vertices the cycle-based audit switches to the
@@ -191,7 +190,7 @@ def _simply_connected(cover: PortGraph, budgets: Budgets) -> bool:
                 if not is_k_contractible(cyc, cx, bound, budgets):
                     return False
             return True
-        except (BudgetExceeded, SearchBudgetExceeded):
+        except BudgetExceeded:  # SearchBudgetExceeded included
             pass  # fall through to the idempotence certificate
     again = develop(cover.label, cover.neighbor, 0, cover.n + 1)
     return again is not None and len(again[0]) == cover.n

@@ -248,12 +248,7 @@ def parse_graph(text: str) -> PortGraph:
             raise GraphFormatError(f"unknown record {parts[0]!r}", lineno)
     if n is None:
         raise GraphFormatError("missing vertex-count line")
-    try:
-        return PortGraph(n, edges)
-    except GraphFormatError:
-        raise
-    except Exception as exc:  # pragma: no cover - defensive
-        raise GraphFormatError(str(exc)) from exc
+    return PortGraph(n, edges)
 
 
 def format_graph(g: PortGraph) -> str:

@@ -358,6 +358,14 @@ def test_malformed_graph_reports_line(capsys, tmp_path):
     ("explore", g("p2"), "--max-moves", "-1"),
     ("lift-check", g("c8"), g("c4"), m("c8-to-c4"), "--steps", "-1"),
     ("enumerate", "--n-max", "-1"),
+    # rejected by the parser itself
+    ("explore", g("p2"), "--bogus"),
+    ("contract", g("k3"), "--loop", "0,1,2,0"),
+    (),
+    ("bogus",),
+    ("explore", g("p2"), "--walk", "sideways"),
+    ("contract", g("k3"), "--loop", "0,1,2,0", "--k", "x"),
+    ("explore", g("p2"), "--max-moves", "1e3"),
 ])
 def test_bad_arguments_exit_two_with_one_error_line(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -366,19 +374,43 @@ def test_bad_arguments_exit_two_with_one_error_line(capsys, argv):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+def _env() -> dict:
+    """The environment of a subprocess that imports binox from src/."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return env
+
+
+def test_bad_arguments_exit_two_from_the_command_line():
+    proc = subprocess.run(
+        [sys.executable, "-m", "binox.cli", "explore", g("k1"), "--bogus"],
+        capture_output=True, text=True, env=_env(), timeout=120)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "error: unrecognized arguments: --bogus\n"
+
+
+def test_help_exits_zero_with_usage_on_stdout(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["explore", "--help"])
+    assert exc.value.code == 0
+    cap = capsys.readouterr()
+    assert cap.out.startswith("usage: binox explore")
+    assert "--max-moves" in cap.out
+    assert cap.err == ""
+
+
 @pytest.mark.parametrize("n_max", ["1", "4"])
 def test_closed_stdout_exits_one_without_an_error_line(n_max):
     # a reader that went away is not unusable input; with buffered stdout
     # n=1's few lines fail at the final flush, n<=4's thousands mid-print
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(SRC), env.get("PYTHONPATH")]))
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
         proc = subprocess.run(
             [sys.executable, "-m", "binox.cli", "enumerate", "--n-max", n_max],
-            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120)
+            stdout=write_end, stderr=subprocess.PIPE, env=_env(), timeout=120)
     finally:
         os.close(write_end)
     assert proc.returncode == 1
@@ -392,10 +424,10 @@ def test_closed_stdout_exits_one_without_an_error_line(n_max):
 def test_hints_option_is_gone(capsys, tmp_path, argv):
     hints = tmp_path / "hints.txt"
     hints.write_text("catalog:p2\n", encoding="utf-8")
-    with pytest.raises(SystemExit) as exc:
-        main([*argv, "--hints", str(hints)])
-    assert exc.value.code == 2
-    assert "unrecognized arguments: --hints" in capsys.readouterr().err
+    code, out, err = run(capsys, *argv, "--hints", str(hints))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: unrecognized arguments: --hints {hints}\n"
 
 
 def _bad_files(tmp: Path) -> dict:
@@ -437,19 +469,19 @@ _token = st.one_of(st.integers(-3, 5).map(str), st.sampled_from(["", "a", " "]))
 
 @st.composite
 def _argv(draw):
-    """A contract, view or ucover call on k3 with fuzzed numeric options.
+    """A contract, view or ucover call on k3 with fuzzed options.
 
     Values are bounded so that every accepted call stays small: views of
-    depth <= 4 and searches capped at 2000 states.
+    depth <= 5 and searches capped at 2000 states.
     """
     cmd = draw(st.sampled_from(["contract", "view", "ucover"]))
     if cmd == "contract":
         loop = ",".join(draw(st.lists(_token, max_size=6)))
-        return [cmd, g("k3"), f"--loop={loop}",
-                f"--k={draw(st.integers(-3, 6))}", "--search-budget=2000"]
+        return [cmd, g("k3"), f"--loop={loop}", f"--k={draw(_token)}",
+                "--search-budget=2000"]
     if cmd == "view":
-        return [cmd, g("k3"), f"--vertex={draw(st.integers(-3, 5))}",
-                f"--depth={draw(st.integers(-3, 4))}"]
+        return [cmd, g("k3"), f"--vertex={draw(_token)}",
+                f"--depth={draw(_token)}"]
     return [cmd, g("k3"), f"--base={draw(st.integers(-3, 5))}", "--porcelain"]
 
 
@@ -526,3 +558,19 @@ def test_fuzzed_files_exit_zero_or_two(capsys, tmp_path, graph, vmap, cmd):
     assert code in (0, 2)
     if code == 2:
         assert err.startswith("error:") and err.count("\n") == 1
+
+
+# -- scripts/explore_report.py ------------------------------------------------------
+
+
+@pytest.mark.parametrize("argv", [("bogus",), ("p2", "--budget", "-1")],
+                         ids=["unknown-name", "negative-budget"])
+def test_explore_report_rejects_bad_arguments(argv):
+    script = CATALOG.parent / "scripts" / "explore_report.py"
+    proc = subprocess.run([sys.executable, str(script), *argv],
+                          capture_output=True, text=True, env=_env(),
+                          timeout=120)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("usage: explore_report.py")
+    assert proc.stderr.splitlines()[-1].startswith("explore_report.py: error:")
