@@ -175,19 +175,21 @@ def _simply_connected(cover: PortGraph, budgets: Budgets) -> bool:
 
     Small covers: every simple cycle contracts (bound 3 * length is always
     enough for a simply connected complex of these sizes, and a failure at
-    that bound on a developed cover is a fault worth surfacing).  Larger
-    covers: development idempotence, i.e. re-developing the cover closes at
-    its own size; a cover is its own universal cover exactly when it is
-    simply connected.
+    that bound on a developed cover is a fault worth surfacing), each by
+    ``contracts_within``: a greedy certificate first, exact A* only where
+    it fails.  Larger covers, or a small one whose cycles or exact search
+    pass a cap: development idempotence, i.e. re-developing the cover
+    closes at its own size; a cover is its own universal cover exactly
+    when it is simply connected.
     """
     if cover.n <= _CYCLE_AUDIT_MAX_VERTICES:
-        from .homotopy import is_k_contractible, simple_cycles
+        from .homotopy import contracts_within, simple_cycles
         try:
             cycles = simple_cycles(cover)
             cx = clique_complex(cover)
             for cyc in cycles:
                 bound = max(3 * (len(cyc) - 1), 8)
-                if not is_k_contractible(cyc, cx, bound, budgets):
+                if not contracts_within(cyc, cx, bound, budgets):
                     return False
             return True
         except BudgetExceeded:  # SearchBudgetExceeded included

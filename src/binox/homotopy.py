@@ -316,12 +316,33 @@ def contraction_certificate(loop: Loop, cx: CliqueComplex, k: int,
     Greedy (weighted, insertion-free) search: much faster than
     contraction_sequence on triangle-rich complexes but the certificate
     need not be minimal, and None only means this search failed, not that
-    no sequence exists.  Meant for verification passes that need an
-    upper-bound witness.
+    no sequence exists.  ``contracts_within`` tries it before exact A*,
+    so the halting test and the cover audit get a replayable witness for
+    each "yes" it finds.
     """
     reachable, path = _search(loop, cx, k, budgets, want_path=True,
                               greedy=True)
     return path if reachable else None
+
+
+def contracts_within(loop: Loop, cx: CliqueComplex, k: int,
+                     budgets: Budgets = DEFAULT_BUDGETS) -> bool:
+    """``is_k_contractible``'s verdict, certificate first.
+
+    On a complex with triangles a greedy ``contraction_certificate``
+    within k is tried first; one in hand proves the loop k-contractible.
+    When it finds none, or passes the state cap, exact A* decides (or
+    raises its own SearchBudgetExceeded).  A triangle-free complex goes
+    straight to free reduction.  So the verdict is the exact one wherever
+    the exact search returns, and True where only a certificate exists.
+    """
+    if cx.dimension >= 2:
+        try:
+            if contraction_certificate(loop, cx, k, budgets) is not None:
+                return True
+        except SearchBudgetExceeded:
+            pass
+    return is_k_contractible(loop, cx, k, budgets)
 
 
 # -- simple cycles -----------------------------------------------------------
@@ -360,11 +381,15 @@ def simple_cycles(g: PortGraph) -> list[Loop]:
 def all_simple_cycles_k_contractible(g: PortGraph, k: int) -> bool:
     """The halting test: every simple cycle contracts within k moves.
 
-    Vacuously true on acyclic graphs.  Budget errors propagate rather than
-    turning into verdicts.
+    Each cycle goes through ``contracts_within``: a "yes" is a replayable
+    greedy certificate of at most k moves, and exact A* runs only on the
+    cycles the greedy search fails on, so a "no" is always exact.
+    Vacuously true on acyclic graphs.  Budget errors (too many cycles, or
+    the exact search's state cap) propagate rather than turning into
+    verdicts.
     """
     cx = clique_complex(g)
     for cyc in simple_cycles(g):
-        if not is_k_contractible(cyc, cx, k):
+        if not contracts_within(cyc, cx, k):
             return False
     return True
