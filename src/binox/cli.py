@@ -160,10 +160,12 @@ def cmd_contract(args: argparse.Namespace) -> int:
             verdict = ("contractible"
                        if is_k_contractible(loop, cx, args.k, budgets)
                        else "not_contractible")
-    except SearchBudgetExceeded:
+    except SearchBudgetExceeded as exc:
         _emit(args.porcelain,
-              [("verdict", "search_budget_exceeded"), ("moves", "-")],
-              f"search budget exceeded before a verdict within {args.k} moves")
+              [("verdict", "search_budget_exceeded"), ("moves", "-"),
+               ("what", exc.what), ("cap", exc.cap), ("reached", exc.reached)],
+              f"search budget exceeded before a verdict within {args.k} moves "
+              f"({exc.what}: {exc.reached} of cap {exc.cap})")
         return 0
     moves = len(seq) if seq is not None else "-"
     pairs = [("verdict", verdict), ("moves", moves)]

@@ -12,7 +12,9 @@ class Budgets:
     """Hard caps; exceeding one yields an explicit verdict, never silence."""
 
     cover_vertices: int = 500   # lifted vertices per development, root included
-    search_states: int = 10**6  # closed loops per contractibility search
+    # loops per contractibility search: the start, then at each expansion
+    # every child within the move bound, repeats included
+    search_states: int = 10**6
 
 
 DEFAULT_BUDGETS = Budgets()

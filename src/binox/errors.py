@@ -48,7 +48,9 @@ class BudgetExceeded(BinoxError):
     ``what`` names the capped quantity ("simplices", "simple cycles",
     "search states"), ``cap`` is its budget and ``reached`` how many there
     were when the run stopped; all three are None where a caller raised
-    it without them.
+    it without them.  Search states are counted per expansion (the
+    expanded loop's children within the move bound, repeats included), so
+    ``reached`` can pass the cap by one loop's children.
     """
 
     def __init__(self, message: str, *, what: str | None = None,

@@ -19,6 +19,7 @@ trivial loop at its basepoint.
 from __future__ import annotations
 
 import heapq
+from collections.abc import Callable
 from functools import cache
 from itertools import compress, count
 from operator import eq
@@ -43,26 +44,121 @@ class Move(NamedTuple):
     data: tuple[int, ...] = ()
 
 
-# (edge steps, stationary steps) that a move of each kind adds to its loop
-_STEP_DELTAS: dict[str, tuple[int, int]] = {
-    "collapse": (0, -1),
-    "delete_backtrack": (-2, 0),
-    "contract_triangle": (-1, 0),
-    "delete_triangle": (-3, 0),
-    "insert_backtrack": (2, 0),
-    "expand_triangle": (1, 0),
-    "insert_triangle": (3, 0),
-}
+# -- move kinds ---------------------------------------------------------------
+#
+# A kind's scan lists its positions in a loop: an index i for the removing
+# kinds, a pair (i, inserted) for the inserting ones, one per child.
 
-_EVERY_KIND = (True,) * len(_STEP_DELTAS)
+
+def _collapses(loop: Loop, cx: CliqueComplex) -> list:  # (a, a) -> (a,)
+    return list(compress(count(), map(eq, loop, loop[1:])))
+
+
+def _backtrack_deletions(loop: Loop, cx: CliqueComplex) -> list:
+    # (a, w, a) -> (a,); only windows with equal ends are looked up
+    backtracks = cx.backtracks
+    return [i for i in compress(count(), map(eq, loop, loop[2:]))
+            if loop[i:i + 3] in backtracks]
+
+
+def _triangle_contractions(loop: Loop, cx: CliqueComplex) -> list:
+    # (a, w, b) -> (a, b)
+    return list(compress(count(), map(cx.triangle_paths.__contains__,
+                                      zip(loop, loop[1:], loop[2:]))))
+
+
+def _triangle_deletions(loop: Loop, cx: CliqueComplex) -> list:
+    # (a, x, y, a) -> (a,); only windows with equal ends are looked up
+    circuits = cx.triangle_circuits
+    return [i for i in compress(count(), map(eq, loop, loop[3:]))
+            if loop[i:i + 4] in circuits]
+
+
+def _backtrack_insertions(loop: Loop, cx: CliqueComplex) -> list:
+    # (a,) -> (a, w, a)
+    steps = cx.back_steps
+    return [(i, w) for i, a in enumerate(loop) for w in steps[a]]
+
+
+def _triangle_expansions(loop: Loop, cx: CliqueComplex) -> list:
+    # (a, b) -> (a, w, b)
+    thirds = cx.thirds
+    return [(i, w) for i, ab in enumerate(zip(loop, loop[1:]))
+            for w in thirds.get(ab, ())]
+
+
+def _triangle_insertions(loop: Loop, cx: CliqueComplex) -> list:
+    # (a,) -> (a, x, y, a)
+    pairs = cx.triangle_pairs
+    return [(i, xy) for i, a in enumerate(loop) for xy in pairs[a]]
+
+
+class _Kind(NamedTuple):
+    """A move kind.  Its child at position i is
+    ``loop[:i + 1] + inserted + loop[i + cut:]``.  A removing kind inserts
+    nothing and its Move.data is ``loop[i + 1:i + 1 + recorded]``; an
+    inserting kind (``recorded`` None) records what it inserts."""
+
+    name: str
+    de: int  # edge steps a move adds to its loop
+    ds: int  # stationary steps a move adds to its loop
+    cut: int
+    recorded: int | None
+    scan: Callable[[Loop, CliqueComplex], list]
+
+
+# in queue order; a child's step counts are its parent's plus (de, ds)
+_KINDS = (
+    _Kind("collapse", 0, -1, 2, 0, _collapses),
+    _Kind("delete_backtrack", -2, 0, 3, 0, _backtrack_deletions),
+    _Kind("contract_triangle", -1, 0, 2, 1, _triangle_contractions),
+    _Kind("delete_triangle", -3, 0, 4, 2, _triangle_deletions),
+    _Kind("insert_backtrack", 2, 0, 0, None, _backtrack_insertions),
+    _Kind("expand_triangle", 1, 0, 1, None, _triangle_expansions),
+    _Kind("insert_triangle", 3, 0, 0, None, _triangle_insertions),
+)
+
+# the kinds that only ever grow the loop
+_PURE_INSERTIONS = frozenset({"insert_backtrack", "insert_triangle"})
 
 
 @cache
-def _kinds_within(slack: int) -> tuple[bool, ...]:
-    """Which move kinds, in _STEP_DELTAS order, keep a loop's children
-    within a bound b.  A child's lower bound (e + de + 2) // 3 + s + ds is
-    at most b exactly when de + 3 * ds <= 3 * (b - s) - e, the slack."""
-    return tuple(de + 3 * ds <= slack for de, ds in _STEP_DELTAS.values())
+def _kinds_within(slack: int | None, insertions: bool,
+                  stationary: bool) -> tuple[_Kind, ...]:
+    """The kinds whose children keep a loop within a bound b, in queue
+    order (every kind when slack is None).  A child's lower bound
+    (e + de + 2) // 3 + s + ds is at most b exactly when
+    de + 3 * ds <= 3 * (b - s) - e, the slack.  insertions=False leaves
+    out the pure insertions, and a loop without stationary steps has no
+    collapse."""
+    return tuple(kd for kd in _KINDS
+                 if (slack is None or kd.de + 3 * kd.ds <= slack)
+                 and (insertions or kd.name not in _PURE_INSERTIONS)
+                 and (stationary or kd.name != "collapse"))
+
+
+def _scan(loop: Loop, cx: CliqueComplex, insertions: bool, bound: int | None,
+          e: int, s: int) -> list[tuple[_Kind, list]]:
+    """(kind, positions) for each kind that has a move in the loop and
+    keeps its children within the bound, in queue order; e and s are the
+    loop's edge and stationary step counts.  No child loop is built."""
+    slack = None if bound is None else 3 * (bound - s) - e
+    return [(kind, positions)
+            for kind in _kinds_within(slack, insertions, s > 0)
+            if (positions := kind.scan(loop, cx))]
+
+
+def _build(loop: Loop, kind: _Kind, positions: list
+           ) -> list[tuple[Move, Loop]]:
+    """The (move, child) pairs of one kind at its scanned positions."""
+    new = tuple.__new__  # a Move without NamedTuple's Python-level __new__
+    name, cut, recorded = kind.name, kind.cut, kind.recorded
+    if recorded is None:
+        return [(new(Move, (name, i, ins)), loop[:i + 1] + ins + loop[i + cut:])
+                for i, ins in positions]
+    return [(new(Move, (name, i, loop[i + 1:i + 1 + recorded])),
+             loop[:i + 1] + loop[i + cut:])
+            for i in positions]
 
 
 # Returned paths share one Move per distinct (kind, index, data), so callers
@@ -72,7 +168,10 @@ _shared_move = cache(Move)
 
 def neighbor_moves(loop: Loop, cx: CliqueComplex, insertions: bool = True,
                    bound: int | None = None) -> list[tuple[Move, Loop]]:
-    """All loops one move away, in a fixed deterministic order.
+    """All loops one move away, in a fixed deterministic order: every
+    kind's children, kinds in queue order (collapse, delete_backtrack,
+    contract_triangle, delete_triangle, insert_backtrack, expand_triangle,
+    insert_triangle), each kind's by position.
 
     insertions=False omits the two pure-insertion kinds (backtrack and
     whole-triangle insertion), which only ever grow the loop; searches
@@ -83,71 +182,14 @@ def neighbor_moves(loop: Loop, cx: CliqueComplex, insertions: bool = True,
     With a bound, only the children whose step counts (e edge, s
     stationary) keep ``(e + 2) // 3 + s <= bound``, in the same order.
     That lower bound is fixed per move kind, so whole kinds are skipped.
+    ``_search`` does not call this: it scans a loop's kinds when it
+    expands the loop and builds one kind's children only when the queue
+    reaches them.
     """
-    m = len(loop) - 1
-    rest = loop[1:]
-    stationary = sum(map(eq, loop, rest))
-    (collapse, delete_backtrack, contract_triangle, delete_triangle,
-     insert_backtrack, expand_triangle, insert_triangle) = (
-        _EVERY_KIND if bound is None
-        else _kinds_within(3 * (bound - stationary) - (m - stationary)))
-    new = tuple.__new__  # a Move without NamedTuple's Python-level __new__
+    e, s = _edge_stationary_counts(loop)
     out: list[tuple[Move, Loop]] = []
-    append = out.append
-
-    if collapse and stationary:  # (a, a) -> (a,)
-        for i in compress(count(), map(eq, loop, rest)):
-            append((new(Move, ("collapse", i, ())), loop[:i] + loop[i + 1:]))
-
-    if delete_backtrack or contract_triangle:
-        windows = list(zip(loop, rest, loop[2:]))
-        if delete_backtrack:  # (a, w, a) -> (a,)
-            for i in compress(count(), map(cx.backtracks.__contains__,
-                                           windows)):
-                append((new(Move, ("delete_backtrack", i, ())),
-                        loop[:i + 1] + loop[i + 3:]))
-        if contract_triangle:  # (a, w, b) -> (a, b)
-            for i in compress(count(), map(cx.triangle_paths.__contains__,
-                                           windows)):
-                append((new(Move, ("contract_triangle", i, loop[i + 1:i + 2])),
-                        loop[:i + 1] + loop[i + 2:]))
-
-    if delete_triangle:  # (a, x, y, a) -> (a,)
-        for i in compress(count(), map(cx.triangle_circuits.__contains__,
-                                       zip(loop, rest, loop[2:], loop[3:]))):
-            append((new(Move, ("delete_triangle", i, loop[i + 1:i + 3])),
-                    loop[:i + 1] + loop[i + 4:]))
-
-    # (a,) -> (a, w, a) is loop[:i + 1] + (w,) + loop[i:]
-    if insert_backtrack and insertions:
-        steps = cx.back_steps
-        for i, a in enumerate(loop):
-            head, tail = loop[:i + 1], loop[i:]
-            for w in steps[a]:
-                append((new(Move, ("insert_backtrack", i, w)),
-                        head + w + tail))
-
-    if expand_triangle:  # (a, b) -> (a, w, b)
-        thirds = cx.thirds
-        for i, ab in enumerate(zip(loop, rest)):
-            ws = thirds.get(ab)
-            if ws:
-                head, tail = loop[:i + 1], loop[i + 1:]
-                for w in ws:
-                    append((new(Move, ("expand_triangle", i, w)),
-                            head + w + tail))
-
-    # (a,) -> (a, x, y, a) is loop[:i + 1] + (x, y) + loop[i:]
-    if insert_triangle and insertions:
-        pairs = cx.triangle_pairs
-        for i, a in enumerate(loop):
-            xys = pairs[a]
-            if xys:
-                head, tail = loop[:i + 1], loop[i:]
-                for xy in xys:
-                    append((new(Move, ("insert_triangle", i, xy)),
-                            head + xy + tail))
-
+    for kind, positions in _scan(loop, cx, insertions, bound, e, s):
+        out += _build(loop, kind, positions)
     return out
 
 
@@ -173,13 +215,8 @@ def free_reduction(loop: Loop) -> tuple[Loop, int]:
 
 
 def _edge_stationary_counts(loop: Loop) -> tuple[int, int]:
-    e = s = 0
-    for a, b in zip(loop, loop[1:]):
-        if a == b:
-            s += 1
-        else:
-            e += 1
-    return e, s
+    s = sum(map(eq, loop, loop[1:]))
+    return len(loop) - 1 - s, s
 
 
 def _check_query(loop: Loop, cx: CliqueComplex, k: int) -> None:
@@ -216,6 +253,17 @@ def _search(loop: Loop, cx: CliqueComplex, k: int, budgets: Budgets,
     for speed; use it for certificates only.  A triangle-free complex
     drops the insertions either way: by the free-reduction argument (see
     ``free_reduction``) they never shorten a contraction there.
+
+    Partial expansion: every child of one move kind gets the same queue
+    key, so expanding a loop only scans it and queues one entry per kind
+    within the bound; that kind's children are built, deduplicated and
+    queued when its entry is popped, under the entry's key and tie in
+    scan order.  The loops expanded, their order, the verdict and the
+    path are those of building every child at expansion.  The state
+    cap counts, at each expansion, every child within the bound, repeats
+    included (plus the start loop), since unbuilt children cannot be
+    told apart; that is never fewer than the distinct loops an eager
+    search would hold, so a capped search stops no later than it would.
     """
     _check_query(loop, cx, k)
     weight = 8 if greedy else 1
@@ -226,21 +274,35 @@ def _search(loop: Loop, cx: CliqueComplex, k: int, budgets: Budgets,
         return True, []
     cap = budgets.search_states
     # one move removes at most 3 edge steps, or exactly 1 stationary step;
-    # each heap entry carries its loop's counts, and a child's counts are
+    # each queue entry carries its loops' counts, and a child's counts are
     # its parent's plus the fixed delta of the move kind
     e0, s0 = _edge_stationary_counts(start)
     h0 = (e0 + 2) // 3 + s0
     if h0 > k:
         return False, None
-    deltas = _STEP_DELTAS
+    states = 1  # counted against the cap: the start and every scanned child
     best: dict[Loop, int] = {start: 0}
     parents: dict[Loop, tuple[Loop, Move]] = {}
     tie = count()
-    heap: list[tuple[int, int, int, Loop, int, int]] = [
-        (weight * h0, 0, next(tie), start, e0, s0)]
+    push, pop, get = heapq.heappush, heapq.heappop, best.get
+    # (f, g, tie, j, loop, e, s) queues a loop, j its place in its kind's
+    # scan; (f, g, tie, -1, (parent, kind, positions), e, s) a kind's
+    # unbuilt children, with their f, g and counts
+    heap: list[tuple] = [(weight * h0, 0, next(tie), 0, start, e0, s0)]
     while heap:
-        f, gc, _, cur, e, s = heapq.heappop(heap)
-        if best.get(cur, -1) != gc:
+        f, gc, t, j, cur, e, s = pop(heap)
+        if j < 0:
+            parent, kind, positions = cur
+            for j, (mv, nxt) in enumerate(_build(parent, kind, positions)):
+                old = get(nxt)
+                if old is not None and old <= gc:
+                    continue
+                best[nxt] = gc
+                if want_path:
+                    parents[nxt] = (parent, mv)
+                push(heap, (f, gc, t, j, nxt, e, s))
+            continue
+        if best[cur] != gc:
             continue  # stale entry
         if cur == target:
             if not want_path:
@@ -254,23 +316,17 @@ def _search(loop: Loop, cx: CliqueComplex, k: int, budgets: Budgets,
             path.reverse()
             return True, path
         ng = gc + 1
-        # the bound keeps exactly the children with ng + nh <= k
-        for mv, nxt in neighbor_moves(cur, cx, insertions, k - ng):
-            old = best.get(nxt)
-            if old is not None and old <= ng:
-                continue
-            best[nxt] = ng
-            if want_path:
-                parents[nxt] = (cur, mv)
-            de, ds = deltas[mv.kind]
-            ne, ns = e + de, s + ds
-            nh = (ne + 2) // 3 + ns
-            heapq.heappush(heap, (ng + weight * nh, ng, next(tie), nxt, ne, ns))
-            if len(best) > cap:
-                raise SearchBudgetExceeded(
-                    f"contractibility search passed {cap} states "
-                    f"(loop length {len(loop) - 1}, bound {k})",
-                    what="search states", cap=cap, reached=len(best))
+        # the bound keeps exactly the kinds whose children have ng + nh <= k
+        for kind, positions in _scan(cur, cx, insertions, k - ng, e, s):
+            states += len(positions)
+            ne, ns = e + kind.de, s + kind.ds
+            push(heap, (ng + weight * ((ne + 2) // 3 + ns), ng, next(tie), -1,
+                        (cur, kind, positions), ne, ns))
+        if states > cap:
+            raise SearchBudgetExceeded(
+                f"contractibility search passed {cap} states "
+                f"(loop length {len(loop) - 1}, bound {k})",
+                what="search states", cap=cap, reached=states)
     return False, None
 
 

@@ -227,7 +227,16 @@ def test_contract_budget_verdict_is_distinct(capsys):
                        "0,1,3,4,0", "--k", "20", "--search-budget", "5",
                        "--porcelain")
     assert code == 0
-    assert porcelain(out) == {"verdict": "search_budget_exceeded", "moves": "-"}
+    # the start and its 68 children within the bound, counted at the
+    # first expansion
+    assert porcelain(out) == {"verdict": "search_budget_exceeded", "moves": "-",
+                              "what": "search states", "cap": "5",
+                              "reached": "69"}
+    code, out, _ = run(capsys, "contract", g("octahedron"), "--loop",
+                       "0,1,3,4,0", "--k", "20", "--search-budget", "5")
+    assert code == 0
+    assert out == ("search budget exceeded before a verdict within 20 moves "
+                   "(search states: 69 of cap 5)\n")
     # same query with room to search gives the positive verdict
     code, out, _ = run(capsys, "contract", g("octahedron"), "--loop",
                        "0,1,3,4,0", "--k", "20", "--porcelain")

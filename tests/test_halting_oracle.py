@@ -245,7 +245,7 @@ def test_icosahedron_first_candidate_is_at_phase_13():
 
 def test_icosahedron_cycles_certified_within_13(certificates, monkeypatch):
     # the full halting test at phase 13 certifies all 12,878 cycles (about
-    # 30 s); a fixed sample here, with exact A* ruled out
+    # 13 s, a CI step); a fixed sample here, with exact A* ruled out
     k = ICOSAHEDRON_HALT_PHASE
     g = icosahedron_candidate(k).graph
     cx = clique_complex(g)

@@ -196,7 +196,10 @@ def test_exhausted_search_says_what_was_capped():
     with pytest.raises(SearchBudgetExceeded) as info:
         is_k_contractible((0, 1, 2, 0), cx, 20, Budgets(search_states=5))
     exc = info.value
-    assert (exc.what, exc.cap, exc.reached) == ("search states", 5, 6)
+    # counted at the first expansion: the start and its 57 children
+    # within the bound, all of neighbor_moves' list
+    assert len(neighbor_moves((0, 1, 2, 0), cx, True, 19)) == 57
+    assert (exc.what, exc.cap, exc.reached) == ("search states", 5, 58)
     assert str(exc) == ("contractibility search passed 5 states "
                         "(loop length 3, bound 20)")
 

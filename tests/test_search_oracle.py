@@ -1,17 +1,23 @@
-"""The contractibility search against the rescanning search it replaced.
+"""The contractibility search against the eager search it replaced.
 
-``homotopy._search`` carries each queued loop's (edge steps, stationary
-steps) and derives a child's heuristic from a fixed delta per move kind.
-The oracle below is the earlier search, which rescans every child loop to
-compute its heuristic.  On the same input both must give the same verdicts,
-minimal counts and certificates after the same number of ``neighbor_moves``
-calls, so the faster search does the same work.
+``homotopy._search`` expands a loop by scanning it (``homotopy._scan``)
+and queues one entry per move kind; a kind's children are built only when
+its entry is popped.  Each entry carries its loops' (edge steps,
+stationary steps), and a child's heuristic comes from a fixed delta per
+move kind.  The oracle below is the eager search: it builds every child
+with ``neighbor_moves`` at expansion and rescans each one to compute its
+heuristic.  On the same input both must give the same verdicts, minimal
+counts and certificates after the same number of expansions (calls of
+``_scan``), and the same budget errors: both count, at each expansion,
+every child within the bound against the state cap.  A second check
+runs the oracle with the count it used before, the distinct loops held,
+and shows that the new count only ever stops a search earlier.
 
-``_search`` asks ``neighbor_moves`` only for the children within its
-remaining bound.  The unbounded list is checked against a scanning oracle
-that reads the graph and the simplex set instead of the complex's move
-tables, and the bounded list against the unbounded one, filtered by each
-child's own rescanned step counts.
+``_search`` scans only the kinds within its remaining bound.  The
+unbounded move list is checked against a scanning oracle that reads the
+graph and the simplex set instead of the complex's move tables, and the
+bounded list against the unbounded one, filtered by each child's own
+rescanned step counts.
 
 In a triangle-free complex both searches leave out backtrack insertions;
 a check with the oracle keeping them shows they never shorten a
@@ -22,6 +28,7 @@ from __future__ import annotations
 
 import heapq
 import random
+from dataclasses import dataclass
 from itertools import count, permutations
 
 import pytest
@@ -42,7 +49,8 @@ CERTIFICATE_MOVES = 20  # as in the acceptance gate's rp2 certificates
 SAMPLE_CYCLES = 40  # seeded sample per surface
 SAMPLE_BUDGETS = Budgets(search_states=1000)
 SAMPLE_VERDICT_BOUNDS = (2, 3, 4)  # exhaustive negatives within the cap
-# neighbor_moves calls of the exact rp2 open-lift negatives, by move bound
+SMALL_CAPS = range(1, 51)  # state caps of the searches on small graphs
+# expansions (_scan calls) of the exact rp2 open-lift negatives, by bound
 EXACT_NEGATIVE_CALLS = {5: 2853, 6: 12727}
 
 
@@ -53,9 +61,12 @@ def rescanning_heuristic(loop):
 
 
 def rescanning_search(loop, cx, k, budgets, want_path, weight=1,
-                      insertions=True):
-    """The search as it was before the heuristic was carried: same queue,
-    same prune, heuristic recomputed from every child loop."""
+                      insertions=True, distinct=False):
+    """The eager search: same queue and prune, every child built at
+    expansion, heuristic recomputed from every child loop.  The state cap
+    counts the start and, at each expansion, every child within the
+    bound, repeats included; ``distinct`` counts the distinct loops held
+    instead, checked after each new one, as the search once did."""
     if k < 0:
         raise ValueError("negative move bound")
     target = (loop[0],)
@@ -66,6 +77,7 @@ def rescanning_search(loop, cx, k, budgets, want_path, weight=1,
     h0 = rescanning_heuristic(start)
     if h0 > k:
         return False, None
+    states = 1
     best = {start: 0}
     parents = {}
     tie = count()
@@ -90,6 +102,7 @@ def rescanning_search(loop, cx, k, budgets, want_path, weight=1,
             nh = rescanning_heuristic(nxt)
             if ng + nh > k:
                 continue
+            states += 1
             old = best.get(nxt)
             if old is not None and old <= ng:
                 continue
@@ -97,63 +110,79 @@ def rescanning_search(loop, cx, k, budgets, want_path, weight=1,
             if want_path:
                 parents[nxt] = (cur, mv)
             heapq.heappush(heap, (ng + weight * nh, ng, next(tie), nxt))
-            if len(best) > cap:
-                raise SearchBudgetExceeded(f"passed {cap} states")
+            if distinct and len(best) > cap:
+                raise SearchBudgetExceeded(f"passed {cap} states",
+                                           reached=len(best))
+        if not distinct and states > cap:
+            raise SearchBudgetExceeded(f"passed {cap} states", reached=states)
     return False, None
 
 
-class CheckedMoves:
-    """Stands in for ``neighbor_moves``: counts the calls and, while
-    ``check`` is set, checks every child's step counts against its
-    parent's plus its move kind's delta, and against the bound."""
+@dataclass(frozen=True)
+class Capped:
+    """A search that raised SearchBudgetExceeded, as a result."""
+
+    reached: int
+
+
+class CheckedScan:
+    """Stands in for ``_scan``, which runs once per expansion in both
+    searches (through ``neighbor_moves`` in the oracle): counts the calls
+    and, while ``check`` is set, checks the loop's step counts it is
+    given, then builds every scanned child and checks its step counts
+    against its parent's plus its move kind's delta, and against the
+    bound."""
 
     def __init__(self, real):
         self.real = real
         self.calls = 0
         self.check = True
 
-    def __call__(self, loop, cx, insertions=True, bound=None):
+    def __call__(self, loop, cx, insertions, bound, e, s):
         self.calls += 1
-        out = self.real(loop, cx, insertions, bound)
+        out = self.real(loop, cx, insertions, bound, e, s)
         if not self.check:
             return out
-        e, s = H._edge_stationary_counts(loop)
-        for mv, nxt in out:
-            de, ds = H._STEP_DELTAS[mv.kind]
-            assert H._edge_stationary_counts(nxt) == (e + de, s + ds), \
-                (loop, mv, nxt)
-            assert bound is None or rescanning_heuristic(nxt) <= bound, \
-                (loop, mv, nxt, bound)
+        assert H._edge_stationary_counts(loop) == (e, s), loop
+        for kind, positions in out:
+            assert positions and (insertions or kind.name not in
+                                  H._PURE_INSERTIONS), (loop, kind)
+            for mv, nxt in H._build(loop, kind, positions):
+                assert mv.kind == kind.name
+                assert H._edge_stationary_counts(nxt) \
+                    == (e + kind.de, s + kind.ds), (loop, mv, nxt)
+                assert bound is None or rescanning_heuristic(nxt) <= bound, \
+                    (loop, mv, nxt, bound)
         return out
 
 
 @pytest.fixture
 def moves(monkeypatch):
-    checked = CheckedMoves(H.neighbor_moves)
-    monkeypatch.setattr(H, "neighbor_moves", checked)
+    checked = CheckedScan(H._scan)
+    monkeypatch.setattr(H, "_scan", checked)
     return checked
 
 
 def run(moves, fn, *args, **kw):
-    """(result, neighbor_moves calls), with a budget error as a result.
+    """(result, expansions), with a budget error as a Capped result.
     Step counts are checked on the search under test, not on the oracle."""
     moves.calls = 0
     moves.check = fn is not rescanning_search
     try:
         got = fn(*args, **kw)
-    except SearchBudgetExceeded:
-        got = "budget"
+    except SearchBudgetExceeded as exc:
+        got = Capped(exc.reached)
     return got, moves.calls
 
 
 def searched(moves, loop, cx, k, budgets, greedy=False):
-    """The oracle's path (None when unreachable) and its call count, with
+    """The oracle's path (None when unreachable) and its expansions, with
     the search's switches: ``greedy`` weights the heuristic 8-fold and
     drops the insertions, which a triangle-free complex drops too."""
     got, calls = run(moves, rescanning_search, loop, cx, k, budgets,
                      want_path=True, weight=8 if greedy else 1,
                      insertions=not greedy and cx.dimension >= 2)
-    return (got if got == "budget" else got[1]), calls
+    return (got if isinstance(got, Capped) else got[1]), calls
 
 
 def assert_same_verdict(moves, loop, cx, k, budgets):
@@ -162,12 +191,12 @@ def assert_same_verdict(moves, loop, cx, k, budgets):
     if cx.dimension >= 2:
         got, calls = run(moves, rescanning_search, loop, cx, k, budgets,
                          want_path=False)
-        assert verdict == ((got if got == "budget" else got[0]), calls), \
-            (loop, k)
+        assert verdict == ((got if isinstance(got, Capped) else got[0]),
+                           calls), (loop, k)
     else:
         # triangle-free: decided by free reduction, without a search
         path, _ = searched(moves, loop, cx, k, budgets)
-        if path != "budget":
+        if not isinstance(path, Capped):
             assert verdict == (path is not None, 0), (loop, k)
 
 
@@ -176,12 +205,13 @@ def assert_same_searches(moves, loop, cx, k, budgets):
     k when there is none) and contraction_certificate agree with the
     oracle, call for call."""
     path, calls = searched(moves, loop, cx, k, budgets)
-    m = path if path in (None, "budget") else len(path)
+    m = path if path is None or isinstance(path, Capped) else len(path)
     assert run(moves, H.min_contraction_moves, loop, cx, k, budgets) \
         == (m, calls), loop
 
     assert_same_verdict(moves, loop, cx,
-                        k if m in (None, "budget") else max(m - 1, 0),
+                        k if m is None or isinstance(m, Capped)
+                        else max(m - 1, 0),
                         budgets)
 
     assert run(moves, H.contraction_certificate, loop, cx, k, budgets) \
@@ -341,6 +371,64 @@ def test_search_matches_rescanning_oracle_on_surface_cycles(moves, name):
             assert_same_verdict(moves, cyc, cx, k, SAMPLE_BUDGETS)
 
 
+def assert_cap_stops_earlier(loop, cx, k, caps):
+    """For the exact and the greedy search, at every cap: where the oracle
+    counting distinct loops raises, the search raises too, and where the
+    search returns, it gives the oracle's uncapped result.
+
+    A search runs the same under any cap until the cap stops it, so one
+    that returns under a cap returns the same under every larger one, and
+    so does the oracle.  Bisection finds the least cap the search returns
+    under; the oracle must return there too, with the same result."""
+    for greedy in (False, True):
+        def search(cap):
+            try:
+                return H._search(loop, cx, k, Budgets(search_states=cap),
+                                 True, greedy)
+            except SearchBudgetExceeded:
+                return None
+
+        lo, hi = 0, len(caps)  # caps[:lo] raise, caps[hi:] return
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if search(caps[mid]) is None:
+                lo = mid + 1
+            else:
+                hi = mid
+        if lo == len(caps):
+            continue  # raises under every cap
+        cap = caps[lo]
+        try:
+            want = rescanning_search(
+                loop, cx, k, Budgets(search_states=cap), True,
+                weight=8 if greedy else 1,
+                insertions=not greedy and cx.dimension >= 2, distinct=True)
+        except SearchBudgetExceeded:
+            pytest.fail(f"{loop} at k={k}, cap {cap}, greedy={greedy}: "
+                        f"returned where the distinct count raises")
+        assert search(cap) == want, (loop, k, cap, greedy)
+
+
+def test_cap_stops_searches_earlier_on_small_graphs():
+    shapes = set()
+    for g in all_canonical(4):
+        if shape(g) in shapes:
+            continue
+        shapes.add(shape(g))
+        cx = clique_complex(g)
+        for loop in all_closed_walks(g, WALK_STEPS):
+            assert_cap_stops_earlier(loop, cx, BOUND, SMALL_CAPS)
+
+
+@pytest.mark.parametrize("name", ["rp2", "icosahedron"])
+def test_cap_stops_searches_earlier_on_surface_cycles(name):
+    cx, cycles = surface_sample(name)
+    for cyc in cycles:
+        for k in (CERTIFICATE_MOVES, *SAMPLE_VERDICT_BOUNDS):
+            assert_cap_stops_earlier(cyc, cx, k,
+                                     [SAMPLE_BUDGETS.search_states])
+
+
 def test_shared_certificate_moves(k4):
     cx = clique_complex(k4)
     a = H.contraction_certificate((0, 1, 2, 3, 0), cx, 4)
@@ -352,8 +440,8 @@ def test_shared_certificate_moves(k4):
 @pytest.mark.parametrize("k", sorted(EXACT_NEGATIVE_CALLS))
 def test_exact_negative_work_is_frozen(moves, k):
     """An exact negative expands every state of its f <= k band, so its
-    neighbor_moves calls (perfbench's homotopy.states_expanded) are
-    frozen: a change that stops pruning shows here."""
+    expansions (``_scan`` calls) are frozen: a change that stops pruning
+    shows here."""
     _, open_ = rp2_lift_split()
     rp2x = clique_complex(graph("rp2"))
     assert run(moves, H.is_k_contractible, open_[0], rp2x, k,
