@@ -18,7 +18,11 @@ or just too large, reported as a verdict rather than an error.
 from __future__ import annotations
 
 import operator
+from array import array
+from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
+from itertools import repeat
 
 from .complexes import clique_complex, coverings_agree, is_graph_covering
 from .config import DEFAULT_BUDGETS, Budgets
@@ -45,86 +49,145 @@ class CoverResult:
 
 
 def develop(label, neighbor, root, budget: int, same=operator.eq):
-    """Star completion over a vertex source.  Returns (lift, ladj), or None
-    when the lifted vertices, the root included, would outnumber the budget
-    or a fresh vertex would pass the source's horizon.
+    """Star completion over a vertex source.  Returns (lift, off, ladj), or
+    None when the lifted vertices, the root included, would outnumber the
+    budget or a fresh vertex would pass the source's horizon.
 
     The source is two functions on its nodes: ``label(x)`` and
     ``neighbor(x, p)``, the node reached through port p (None past the
     horizon).  The nodes of a port graph are its vertices, compared
     exactly; a view's nodes are its interned ids, which ``same`` compares
     by label, since ids at different remaining depths are unrelated.
-    lift[i] is the node under lifted vertex i; ladj[i] maps each port of
-    i to a lifted neighbor.  Deterministic: lifted vertices are completed
-    in creation order, ports in ascending order.
+    Each distinct node's star (degree, back ports, neighbor-neighbor
+    edges and the node at each port) is read once per development and
+    shared by every lifted vertex over it.
+
+    lift[i] is the node under lifted vertex i.  The ports of i are the flat
+    slots ladj[off[i] : off[i + 1]], slot off[i] + p holding the lifted
+    neighbor through port p; ``off`` is an array('q') of len(lift) + 1
+    offsets and an unset slot holds -1 until its port is completed.  A port
+    that would index outside its vertex's slots raises InconsistentStar.
+    Deterministic: lifted vertices are completed in creation order, ports
+    in ascending order.
     """
     if budget < 1:
         return None
+    # node -> (deg, back, nn, neighbor at each port, its unset slots)
+    stars: dict = {}
+
+    def star(x):
+        deg, back, nn = label(x)
+        for p, q, _, _ in nn:  # own ports index the node's own slots
+            if not (0 <= p < deg and 0 <= q < deg):
+                raise InconsistentStar(f"node {x}: label ports out of range")
+        s = stars[x] = (deg, back, nn,
+                        tuple(map(neighbor, repeat(x), range(deg))),
+                        (-1,) * deg)
+        return s
+
+    def out_of_range(j, port, i):
+        return InconsistentStar(
+            f"lifted {j} has no port {port} (degree {off[j + 1] - off[j]}) "
+            f"while completing lifted {i}"
+        )
+
     lift: list = [root]
-    ladj: list[dict[int, int]] = [dict()]
+    ladj: list[int] = list(star(root)[4])
+    off = array("q", (0, len(ladj)))
     i = 0
     while i < len(lift):
         v = lift[i]
-        deg, back, nn = label(v)
-        me = ladj[i]
+        deg, back, nn, nbrs, _ = stars[v]
+        o = off[i]
         # identifications forced by triangles through existing neighbors
         changed = True
         while changed:
             changed = False
             for p, q, pq, qp in nn:
                 for a_port, b_port, a_to_b in ((p, q, pq), (q, p, qp)):
-                    if a_port in me and b_port not in me:
-                        c = ladj[me[a_port]].get(a_to_b)
-                        if c is None:
-                            continue
-                        want = neighbor(v, b_port)
-                        if want is not None and not same(lift[c], want):
-                            raise InconsistentStar(
-                                f"lifted {i} over {v}: port {b_port} forced onto "
-                                f"a vertex over {lift[c]}, expected over {want}"
-                            )
-                        if back[b_port] in ladj[c] and ladj[c][back[b_port]] != i:
-                            raise InconsistentStar(
-                                f"lifted {c} port {back[b_port]} already taken "
-                                f"while completing lifted {i}"
-                            )
-                        me[b_port] = c
-                        ladj[c][back[b_port]] = i
-                        changed = True
+                    a = ladj[o + a_port]
+                    if a < 0 or ladj[o + b_port] >= 0:
+                        continue
+                    if not 0 <= a_to_b < off[a + 1] - off[a]:
+                        raise out_of_range(a, a_to_b, i)
+                    c = ladj[off[a] + a_to_b]
+                    if c < 0:
+                        continue
+                    want = nbrs[b_port]
+                    if want is not None and not same(lift[c], want):
+                        raise InconsistentStar(
+                            f"lifted {i} over {v}: port {b_port} forced onto "
+                            f"a vertex over {lift[c]}, expected over {want}"
+                        )
+                    bp = back[b_port]
+                    if not 0 <= bp < off[c + 1] - off[c]:
+                        raise out_of_range(c, bp, i)
+                    slot = off[c] + bp
+                    if ladj[slot] >= 0 and ladj[slot] != i:
+                        raise InconsistentStar(
+                            f"lifted {c} port {bp} already taken "
+                            f"while completing lifted {i}"
+                        )
+                    ladj[o + b_port] = c
+                    ladj[slot] = i
+                    changed = True
         # fresh vertices for genuinely undetermined ports
-        for p in range(deg):
-            if p not in me:
-                w = neighbor(v, p)
-                if w is None or len(lift) >= budget:
-                    return None
+        for p, x in enumerate(ladj[o:o + deg]):
+            if x < 0:
+                w = nbrs[p]
                 j = len(lift)
+                if w is None or j >= budget:
+                    return None
+                blank = (stars.get(w) or star(w))[4]
+                bp = back[p]
+                base = len(ladj)
                 lift.append(w)
-                ladj.append({back[p]: i})
-                me[p] = j
+                ladj += blank
+                off.append(len(ladj))
+                if not 0 <= bp < len(blank):
+                    raise out_of_range(j, bp, i)
+                ladj[base + bp] = i
+                ladj[o + p] = j
         # neighbor-neighbor edges dictated by the label
         for p, q, pq, qp in nn:
-            a, b = me[p], me[q]
-            if pq in ladj[a]:
-                if ladj[a][pq] != b:
+            a, b = ladj[o + p], ladj[o + q]
+            if not 0 <= pq < off[a + 1] - off[a]:
+                raise out_of_range(a, pq, i)
+            if not 0 <= qp < off[b + 1] - off[b]:
+                raise out_of_range(b, qp, i)
+            sa, sb = off[a] + pq, off[b] + qp
+            if ladj[sa] >= 0:
+                if ladj[sa] != b:
                     raise InconsistentStar(
-                        f"lifted {a} port {pq}: wanted {b}, has {ladj[a][pq]}"
+                        f"lifted {a} port {pq}: wanted {b}, has {ladj[sa]}"
                     )
+            elif ladj[sb] >= 0 and ladj[sb] != a:
+                raise InconsistentStar(
+                    f"lifted {b} port {qp}: wanted {a}, has {ladj[sb]}"
+                )
             else:
-                ladj[a][pq] = b
-                ladj[b][qp] = a
+                ladj[sa] = b
+                ladj[sb] = a
         i += 1
-    for idx, v in enumerate(lift):
-        if len(ladj[idx]) != label(v)[0]:
-            raise InconsistentStar(f"lifted {idx} over {v} left incomplete")
-    return lift, ladj
+    # every slot is set once its vertex is completed and the range checks
+    # keep writes inside their vertex, so this is the closing invariant
+    if -1 in ladj:
+        idx = bisect_right(off, ladj.index(-1)) - 1
+        raise InconsistentStar(f"lifted {idx} over {lift[idx]} left incomplete")
+    return lift, off, ladj
 
 
-def lifted_graph(lift: list, ladj: list[dict[int, int]], label) -> PortGraph:
+def lifted_graph(lift: list, off: array, ladj: list[int], label) -> PortGraph:
     """The port graph of a closed development; back ports from the labels."""
-    return PortGraph(len(lift), [
-        (i, j, p, label(lift[i])[1][p])
-        for i in range(len(lift)) for p, j in ladj[i].items() if i < j
-    ])
+    edges = []
+    for i, v in enumerate(lift):
+        back = label(v)[1]
+        o = off[i]
+        for p in range(off[i + 1] - o):
+            j = ladj[o + p]
+            if i < j:
+                edges.append((i, j, p, back[p]))
+    return PortGraph(len(lift), edges)
 
 
 def universal_cover(g: PortGraph, base: int = 0, verify: bool = True,
@@ -143,11 +206,12 @@ def universal_cover(g: PortGraph, base: int = 0, verify: bool = True,
     if dev is None:
         return CoverResult("budget_exceeded", None, None, None, base,
                            explored=budgets.cover_vertices)
-    lift, ladj = dev
+    lift = dev[0]
     n_cov = len(lift)
-    cover = lifted_graph(lift, ladj, g.label)
-    projection = {i: lift[i] for i in range(n_cov)}
-    fiber_sizes = [lift.count(v) for v in g.vertices]
+    cover = lifted_graph(*dev, g.label)
+    projection = dict(enumerate(lift))
+    counts = Counter(lift)
+    fiber_sizes = [counts[v] for v in g.vertices]
     if len(set(fiber_sizes)) != 1 or n_cov != fiber_sizes[0] * g.n:
         raise CoverVerificationFailed(
             f"unequal fiber sizes {sorted(set(fiber_sizes))} over {g.n} vertices"
