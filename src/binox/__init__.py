@@ -11,7 +11,8 @@ phased exploring agent itself, and a CLI harness.
 """
 
 from .complexes import (CliqueComplex, clique_complex, coverings_agree,
-                        is_graph_covering, is_simplicial_covering)
+                        is_graph_covering, is_simplicial_covering,
+                        surface_euler_characteristic)
 from .config import DEFAULT_BUDGETS, Budgets
 from .cover import (Classification, CoverResult, classify, isomorphism,
                     universal_cover)

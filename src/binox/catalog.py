@@ -5,13 +5,14 @@ the predecessor) so that index-arithmetic covering maps between cycles
 preserve ports; every other entry numbers ports by ascending neighbor id.
 
 The three closed-surface entries carry their face lists and are verified
-clean at build time: the clique complex equals the triangulation (every
-3-clique is a listed face, no 4-cliques), every edge lies in exactly two
-faces, every vertex link is a single cycle, and the Euler characteristic
-matches.  The 11-vertex projective-plane triangulation was found by a
-search over vertex splits (scripts/find_clean_rp2.py) and is frozen here;
-the 6-vertex minimal triangulation is useless for this purpose because it
-is the complete graph and its clique complex fills in.
+clean at build time: the 3-cliques are exactly the listed faces, the
+clique complex is a closed surface (``surface_euler_characteristic``:
+dimension 2, so no 4-cliques, every edge on two triangles, every vertex
+link a single cycle), and its Euler characteristic matches.  The
+11-vertex projective-plane triangulation was found by a search over
+vertex splits (scripts/find_clean_rp2.py) and is frozen here; the
+6-vertex minimal triangulation is useless for this purpose because it is
+the complete graph and its clique complex fills in.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ from itertools import combinations
 from pathlib import Path
 from typing import Callable
 
-from .complexes import clique_complex, coverings_agree
+from .complexes import (clique_complex, coverings_agree,
+                        surface_euler_characteristic)
 from .cover import CoverResult, classify, universal_cover
 from .errors import CatalogVerificationFailed
 from .graphs import PortGraph, format_vertex_map, save_graph
@@ -230,40 +232,13 @@ def _fail(name: str, what: str) -> None:
 
 
 def _check_surface(name: str, g: PortGraph, faces, euler: int) -> None:
-    face_set = {tuple(sorted(f)) for f in faces}
     cx = clique_complex(g)
-    if cx.dimension != 2:
-        _fail(name, f"clique complex has dimension {cx.dimension}, wanted 2")
-    tris = {s for s in cx.simplices if len(s) == 3}
-    if tris != face_set:
+    triangles = cx.by_dim[2] if cx.dimension >= 2 else ()
+    if set(triangles) != {tuple(sorted(f)) for f in faces}:
         _fail(name, "3-cliques do not equal the face list (not clean)")
-    edge_faces: dict[tuple[int, int], int] = {}
-    for f in face_set:
-        for p in combinations(f, 2):
-            edge_faces[p] = edge_faces.get(p, 0) + 1
-    edges = {(u, v) for u, v, _, _ in g.edges()}
-    if set(edge_faces) != edges or set(edge_faces.values()) != {2}:
-        _fail(name, "some edge is not in exactly two faces")
-    for v in g.vertices:
-        ring: dict[int, list[int]] = {}
-        for f in face_set:
-            if v in f:
-                a, b = (x for x in f if x != v)
-                ring.setdefault(a, []).append(b)
-                ring.setdefault(b, []).append(a)
-        if set(ring) != set(g.neighbors(v)) or any(len(x) != 2 for x in ring.values()):
-            _fail(name, f"link of vertex {v} is not 2-regular")
-        seen = {min(ring)}
-        frontier = [min(ring)]
-        while frontier:
-            x = frontier.pop()
-            for y in ring[x]:
-                if y not in seen:
-                    seen.add(y)
-                    frontier.append(y)
-        if len(seen) != len(ring):
-            _fail(name, f"link of vertex {v} is not a single cycle")
-    chi = g.n - g.edge_count() + len(face_set)
+    chi = surface_euler_characteristic(cx)
+    if chi is None:
+        _fail(name, "clique complex is not a closed surface")
     if chi != euler:
         _fail(name, f"Euler characteristic {chi}, wanted {euler}")
 

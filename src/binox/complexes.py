@@ -1,4 +1,4 @@
-"""Clique complexes, simplicial maps, and the two covering notions.
+"""Clique complexes, closed surfaces, simplicial maps and both coverings.
 
 The clique complex of a graph has a simplex for every clique.  Coverings
 can be phrased combinatorially on port graphs (degree-, port- and
@@ -23,8 +23,7 @@ class CliqueComplex:
     Tables built once, in one pass over the simplices:
 
     * ``by_dim[d]``: the d-simplices, ascending;
-    * ``stars[v]``: the simplices containing v, as a tuple, and
-      ``star_sets[v]`` the same as a frozenset;
+    * ``star_sets[v]``: the simplices containing v, as a frozenset;
     * ``edge_ports``: the graph's edges as (u, v, pu, pv), u < v.
 
     Move tables for ``homotopy.neighbor_moves``.  Inserted vertices come
@@ -41,10 +40,9 @@ class CliqueComplex:
     * ``triangle_circuits``: every walk (u, x, y, u) around a triangle.
     """
 
-    __slots__ = ("graph", "simplices", "dimension", "by_dim", "stars",
-                 "star_sets", "edge_ports", "back_steps", "thirds",
-                 "triangle_pairs", "backtracks", "triangle_paths",
-                 "triangle_circuits")
+    __slots__ = ("graph", "simplices", "dimension", "by_dim", "star_sets",
+                 "edge_ports", "back_steps", "thirds", "triangle_pairs",
+                 "backtracks", "triangle_paths", "triangle_circuits")
 
     def __init__(self, graph: PortGraph, simplices: frozenset[Simplex]):
         self.graph = graph
@@ -57,7 +55,6 @@ class CliqueComplex:
             for v in s:
                 stars[v].append(s)
         self.by_dim = tuple(tuple(sorted(ds)) for ds in by_dim)
-        self.stars = tuple(map(tuple, stars))
         self.star_sets = tuple(map(frozenset, stars))
         self.edge_ports = tuple(graph.edges())
         self.back_steps = tuple(tuple((w,) for w in graph.neighbors(v))
@@ -99,6 +96,32 @@ def clique_complex(g: PortGraph) -> CliqueComplex:
             if w > c[-1]:
                 stack.append(c + (w,))
     return CliqueComplex(g, frozenset(sims))
+
+
+def surface_euler_characteristic(cx: CliqueComplex) -> int | None:
+    """V - E + F when cx is a closed surface, None otherwise.
+
+    A closed surface here has dimension 2, every edge on exactly two
+    triangles, and every vertex link a single cycle.  With two triangles
+    on each edge vx, every link is 2-regular, so it is one cycle exactly
+    when the walk around it from one neighbor of v meets them all.
+    """
+    if cx.dimension != 2:
+        return None
+    thirds = cx.thirds
+    if any(len(thirds.get((u, v), ())) != 2 for u, v, _, _ in cx.edge_ports):
+        return None
+    g = cx.graph
+    for v in g.vertices:
+        nbrs = g.neighbors(v)
+        prev, x, steps = nbrs[0], thirds[v, nbrs[0]][0][0], 1
+        while x != nbrs[0]:
+            (a,), (b,) = thirds[v, x]
+            prev, x = x, b if a == prev else a
+            steps += 1
+        if steps != len(nbrs):
+            return None
+    return len(cx.by_dim[0]) - len(cx.by_dim[1]) + len(cx.by_dim[2])
 
 
 # -- maps ---------------------------------------------------------------------
@@ -157,7 +180,7 @@ def is_simplicial_covering(f: dict[int, int], src: CliqueComplex,
         raise NotSimplicial("map is not simplicial; star test undefined")
     # equal sizes and equal sets: the star maps bijectively
     get = image.__getitem__
-    for v, star in enumerate(src.stars):
+    for v, star in enumerate(src.star_sets):
         want = dst.star_sets[f[v]]
         if len(star) != len(want) or set(map(get, star)) != want:
             return False
@@ -172,23 +195,18 @@ def is_simplicial_covering(f: dict[int, int], src: CliqueComplex,
 def is_graph_covering(f: dict[int, int], src: PortGraph, dst: PortGraph) -> bool:
     """Port-graph covering test.
 
-    f must preserve degrees, commute with ports (the port-p neighbor of u
-    maps to the port-p neighbor of f(u)) and preserve radius-1 labels.
-    Port commutation at every vertex makes f a graph homomorphism that
-    preserves both port numbers, so this is the full combinatorial
-    definition in one pass.
+    f must preserve radius-1 labels, which carry the degree and every back
+    port, and commute with ports: the port-p neighbor of u maps to the
+    port-p neighbor of f(u).  Port commutation at every vertex makes f a
+    graph homomorphism that preserves both port numbers, so this is the
+    full combinatorial definition in one pass.
     """
     _check_total(f, src, dst)
+    image = f.__getitem__
     for u in src.vertices:
         fu = f[u]
-        if src.degree(u) != dst.degree(fu):
-            return False
-        for p in range(src.degree(u)):
-            if f[src.neighbor(u, p)] != dst.neighbor(fu, p):
-                return False
-            if src.back_port(u, p) != dst.back_port(fu, p):
-                return False
-        if src.label(u) != dst.label(fu):
+        if (src.label(u) != dst.label(fu)
+                or tuple(map(image, src.neighbors(u))) != dst.neighbors(fu)):
             return False
     return True
 

@@ -24,10 +24,11 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import repeat
 
-from .complexes import clique_complex, coverings_agree, is_graph_covering
+from .complexes import coverings_agree, is_graph_covering
 from .config import DEFAULT_BUDGETS, Budgets
 from .errors import BudgetExceeded, CoverVerificationFailed, InconsistentStar
 from .graphs import PortGraph, port_map
+from .homotopy import all_simple_cycles_k_contractible
 
 # beyond this many cover vertices the cycle-based audit switches to the
 # development-idempotence certificate
@@ -219,43 +220,34 @@ def universal_cover(g: PortGraph, base: int = 0, verify: bool = True,
     result = CoverResult("finite", cover, projection, fiber_sizes[0], base,
                          explored=n_cov)
     if verify:
-        _audit(result, g, budgets)
+        _audit(result, g)
     return result
 
 
-def _audit(result: CoverResult, g: PortGraph, budgets: Budgets) -> None:
+def _audit(result: CoverResult, g: PortGraph) -> None:
     cover, projection = result.cover, result.projection
     assert cover is not None and projection is not None
     if not coverings_agree(projection, cover, g):
         raise CoverVerificationFailed(
             "development projection is not a covering"
         )
-    if not _simply_connected(cover, budgets):
+    if not _simply_connected(cover):
         raise CoverVerificationFailed("developed cover is not simply connected")
 
 
-def _simply_connected(cover: PortGraph, budgets: Budgets) -> bool:
+def _simply_connected(cover: PortGraph) -> bool:
     """Certify simple connectivity of a developed cover.
 
-    Small covers: every simple cycle contracts (bound 3 * length is always
-    enough for a simply connected complex of these sizes, and a failure at
-    that bound on a developed cover is a fault worth surfacing), each by
-    ``contracts_within``: a greedy certificate first, exact A* only where
-    it fails.  Larger covers, or a small one whose cycles or exact search
-    pass a cap: development idempotence, i.e. re-developing the cover
-    closes at its own size; a cover is its own universal cover exactly
-    when it is simply connected.
+    Small covers: the halting test at bound max(3n, 8), which is always
+    enough for a simply connected complex of these sizes, so a failure on
+    a developed cover is a fault worth surfacing.  Larger covers, or a
+    small one whose cycles or exact search pass a cap: development
+    idempotence, i.e. re-developing the cover closes at its own size; a
+    cover is its own universal cover exactly when it is simply connected.
     """
     if cover.n <= _CYCLE_AUDIT_MAX_VERTICES:
-        from .homotopy import contracts_within, simple_cycles
         try:
-            cycles = simple_cycles(cover)
-            cx = clique_complex(cover)
-            for cyc in cycles:
-                bound = max(3 * (len(cyc) - 1), 8)
-                if not contracts_within(cyc, cx, bound, budgets):
-                    return False
-            return True
+            return all_simple_cycles_k_contractible(cover, max(3 * cover.n, 8))
         except BudgetExceeded:  # SearchBudgetExceeded included
             pass  # fall through to the idempotence certificate
     again = develop(cover.label, cover.neighbor, 0, cover.n + 1)

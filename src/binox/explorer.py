@@ -24,7 +24,8 @@ from typing import Iterable
 
 from .complexes import is_graph_covering
 from .enumeration import Candidate, find_candidate
-from .errors import BudgetExceeded, InvalidMove, KernelFault, NotACovering
+from .errors import (BudgetExceeded, InvalidMove, KernelFault, NotACovering,
+                     NotSimplicial)
 from .graphs import Label, PortGraph, port_map
 from .homotopy import all_simple_cycles_k_contractible
 from .views import ViewInterner, view_key
@@ -59,10 +60,8 @@ class PhasedAgent:
         # frames: [via_port_at_parent, entry_port, label, children, next_port]
         self.stack: list[list] = []
         self._descend_port: int | None = None
-        self.view_ids: list[int] = []
         self.phase_log: list[tuple] = []
-        self.accepted: Candidate | None = None
-        self.accepted_k: int | None = None
+        self.accepted: Candidate | None = None  # halts at phase k once set
         # digest caches, filled by snapshot() only
         self._config_hash: str | None = None
         self._chain: list[tuple] = []  # see _stack_hash
@@ -121,10 +120,11 @@ class PhasedAgent:
         """Agent state as compact plain data; input to the memory digest.
 
         Small state enters as is: k, the pending descent port, the phase
-        view ids and log, and the accepted candidate.  The rest enters as
-        sha256 values of its full rendering: the fixed configuration (mode,
-        walk, hint encodings), the intern table (length and running
-        digest) and the frame stack (a hash chain, one link per depth).
+        log (each phase's view id included) and the accepted candidate.
+        The rest enters as sha256 values of its full rendering: the fixed
+        configuration (mode, walk, hint encodings), the intern table
+        (length and running digest) and the frame stack (a hash chain, one
+        link per depth).
         Each hash is a function of the value it covers, so equal states
         give equal snapshots and, up to sha256 collisions, unequal states
         unequal ones.  The cost tracks what changed since the previous
@@ -137,15 +137,13 @@ class PhasedAgent:
             self._config_hash = hashlib.sha256(repr(cfg).encode()).hexdigest()
         acc = None
         if self.accepted is not None:
-            acc = (self.accepted.graph.encoding(), self.accepted.root,
-                   self.accepted_k)
+            acc = (self.accepted.graph.encoding(), self.accepted.root)
         return (
             self.k,
             self._descend_port,
             self._stack_hash(),
             len(self.table),
             self.table.digest(),
-            tuple(self.view_ids),
             tuple(self.phase_log),
             acc,
             self._config_hash,
@@ -186,7 +184,6 @@ class PhasedAgent:
 
     def _phase_end(self, ident: int) -> bool:
         k = self.k
-        self.view_ids.append(ident)
         vk = view_key(self.table, ident, 2 * k, self.nb)
         cand = find_candidate(vk, k, mode=self.mode, hints=self.hints,
                               table=self.table)
@@ -202,7 +199,6 @@ class PhasedAgent:
                 verdict = "test_budget_exceeded"
             if ok:
                 self.accepted = cand
-                self.accepted_k = k
                 halted = True
         self.phase_log.append((k, ident, cand_enc, verdict))
         if not halted:
@@ -321,7 +317,7 @@ def explore(g: PortGraph, start: int = 0, move_budget: int = MOVE_BUDGET,
         status="halted" if run.halted else "budget_exhausted",
         moves=run.moves,
         phases_completed=len(agent.phase_log),
-        halt_phase=agent.accepted_k,
+        halt_phase=None if agent.accepted is None else agent.k,
         candidate=agent.accepted,
         visited=run.visited,
         run=run,
@@ -357,7 +353,12 @@ def lift_check(cover: PortGraph, base: PortGraph, projection: dict[int, int],
     the cover run's position must project to the base run's position at
     every step; the report records the first step where any of that fails.
     """
-    if not is_graph_covering(projection, cover, base):
+    try:
+        covering = is_graph_covering(projection, cover, base)
+    except NotSimplicial as exc:  # a vertex unmapped or mapped out of range
+        raise NotACovering(
+            f"the given projection is not a covering: {exc}") from exc
+    if not covering:
         raise NotACovering("the given projection is not a covering")
     if not 0 <= cover_start < cover.n:
         raise InvalidMove(f"cover start {cover_start} out of range")

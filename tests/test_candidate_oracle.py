@@ -189,7 +189,7 @@ def assert_same_runs(g, start, monkeypatch):
             m.setattr(explorer, "find_candidate", oracle_find(g, start))
             want = run_agent(g, old, start, cap)
         assert got == want, where
-        assert new.accepted_k == old.accepted_k, where
+        assert new.k == old.k, where
         if new.accepted is not None:
             assert isomorphism(new.accepted.graph,
                                old.accepted.graph) is not None, where

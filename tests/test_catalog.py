@@ -1,15 +1,25 @@
 """The built-in terrain catalog: builders, expectations, files."""
 
 from collections import Counter
+from itertools import combinations
 
 import pytest
 
-from binox.catalog import (ENTRIES, MAPS, cycle_graph, entry, graph,
-                           graph_from_edges, names, verify_catalog,
-                           vertex_map, write_catalog)
-from binox.complexes import clique_complex, is_graph_covering
+from binox.catalog import (ENTRIES, MAPS, OCTAHEDRON_FACES, _check_surface,
+                           complete_graph, cycle_graph, entry, graph,
+                           graph_from_edges, graph_from_faces, names,
+                           octahedron, verify_catalog, vertex_map,
+                           write_catalog)
+from binox.complexes import (clique_complex, is_graph_covering,
+                             surface_euler_characteristic)
 from binox.cover import classify, isomorphism
+from binox.errors import CatalogVerificationFailed
 from binox.graphs import load_graph, load_vertex_map
+
+from conftest import all_canonical
+
+# the closed surfaces among the catalog terrains, with V - E + F
+SURFACES = {"octahedron": 2, "icosahedron": 2, "rp2": 1, "rp2_cover": 2}
 
 
 def test_names_cover_all_entries():
@@ -64,6 +74,44 @@ def test_surface_shapes():
         assert cx.dimension == 2, name
         assert counts[2] == tris, name
         assert g.n - g.edge_count() + counts[2] == euler, name
+
+
+def test_surface_routine_on_catalog_and_small_graphs():
+    for e in ENTRIES:
+        got = surface_euler_characteristic(clique_complex(e.build()))
+        assert got == SURFACES.get(e.name), e.name
+    for g in all_canonical(4):
+        assert surface_euler_characteristic(clique_complex(g)) is None
+
+
+def test_pinched_octahedra_are_not_a_surface():
+    # two octahedra sharing vertex 0: dimension 2 and every edge on two
+    # triangles, but the link of vertex 0 is two 4-cycles
+    twin = [tuple(0 if v == 0 else v + 5 for v in f) for f in OCTAHEDRON_FACES]
+    g = graph_from_faces(11, OCTAHEDRON_FACES + tuple(twin))
+    cx = clique_complex(g)
+    assert cx.dimension == 2
+    assert all(len(cx.thirds[u, v]) == 2 for u, v, _, _ in g.edges())
+    assert surface_euler_characteristic(cx) is None
+
+
+def test_three_triangles_on_one_edge_are_not_a_surface():
+    g = graph_from_edges(5, [(0, 1)] + [(u, w) for w in (2, 3, 4)
+                                         for u in (0, 1)])
+    cx = clique_complex(g)
+    assert cx.dimension == 2 and len(cx.thirds[0, 1]) == 3
+    assert surface_euler_characteristic(cx) is None
+
+
+@pytest.mark.parametrize("g, faces, euler, message", [
+    (complete_graph(4), tuple(combinations(range(4), 3)), 2,
+     "not a closed surface"),
+    (octahedron(), OCTAHEDRON_FACES[1:], 2, "not clean"),
+    (octahedron(), OCTAHEDRON_FACES, 1, "Euler characteristic 2, wanted 1"),
+], ids=["k4_faces", "missing_face", "wrong_euler"])
+def test_surface_check_failures(g, faces, euler, message):
+    with pytest.raises(CatalogVerificationFailed, match=message):
+        _check_surface("entry", g, faces, euler)
 
 
 def test_double_cover_size():

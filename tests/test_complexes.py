@@ -102,9 +102,8 @@ def test_simplices_are_exactly_the_cliques(g):
 
 def test_star_and_triangle_lookups(k4):
     cx = clique_complex(k4)
-    assert all(0 in s for s in cx.stars[0])
-    assert len(cx.stars[0]) == 8  # 1 vertex + 3 edges + 3 triangles + 1 tetra
-    assert cx.star_sets[0] == frozenset(cx.stars[0])
+    assert all(0 in s for s in cx.star_sets[0])
+    assert len(cx.star_sets[0]) == 8  # 1 vertex + 3 edges + 3 triangles + 1 tetra
     assert cx.by_dim[2] == ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3))
     assert cx.by_dim[3] == ((0, 1, 2, 3),)
     assert cx.edge_ports == tuple(k4.edges())
@@ -184,7 +183,7 @@ def test_covering_test_requires_simplicial_map():
 
 def stars_biject(f, src, dst):
     """The star-bijection half of is_simplicial_covering, ports ignored."""
-    for v, star in enumerate(src.stars):
+    for v, star in enumerate(src.star_sets):
         images = [tuple(sorted({f[x] for x in s})) for s in star]
         if (len(set(images)) != len(images)
                 or set(images) != dst.star_sets[f[v]]):
@@ -274,8 +273,6 @@ def test_star_tables_are_the_literal_stars():
     for g in all_canonical(4):
         cx = clique_complex(g)
         for v in g.vertices:
-            assert len(cx.stars[v]) == len(cx.star_sets[v])
-            assert cx.star_sets[v] == frozenset(cx.stars[v])
             assert cx.star_sets[v] == literal_star(cx, v)
         assert sum(map(len, cx.by_dim)) == len(cx.simplices)
         assert {s for ds in cx.by_dim for s in ds} == cx.simplices
@@ -316,6 +313,77 @@ def test_covering_check_matches_literal_definition_on_catalog():
         got = assert_same_verdicts([res.projection], clique_complex(res.cover),
                                    clique_complex(g))
         assert got == {True: 1}, e.name
+
+
+# -- the label-based graph covering check against the per-port one -----------------
+
+
+def literal_is_graph_covering(f, src, dst):
+    """``is_graph_covering`` before it read degrees and back ports from
+    the labels: degree, neighbor and back port per port, then the label."""
+    for u in src.vertices:
+        if u not in f:
+            raise NotSimplicial(f"map undefined on vertex {u}")
+        if not 0 <= f[u] < dst.n:
+            raise NotSimplicial(f"image {f[u]} of vertex {u} out of range")
+    for u in src.vertices:
+        fu = f[u]
+        if src.degree(u) != dst.degree(fu):
+            return False
+        for p in range(src.degree(u)):
+            if f[src.neighbor(u, p)] != dst.neighbor(fu, p):
+                return False
+            if src.back_port(u, p) != dst.back_port(fu, p):
+                return False
+        if src.label(u) != dst.label(fu):
+            return False
+    return True
+
+
+def same_graph_verdicts(maps, src, dst):
+    """Compare both graph covering checks on every map; verdict counts."""
+    counts = Counter()
+    for f in maps:
+        want = verdict(literal_is_graph_covering, f, src, dst)
+        assert verdict(is_graph_covering, f, src, dst) == want, (f, src, dst)
+        counts[want if isinstance(want, bool) else "not total"] += 1
+    return counts
+
+
+def broken_maps(src, dst):
+    """A map missing src's last vertex, and two sending it out of range."""
+    last = src.n - 1
+    zero = dict.fromkeys(range(last), 0)
+    return [zero, {**zero, last: dst.n}, {**zero, last: -1}]
+
+
+def test_graph_covering_check_matches_per_port_check_on_small_maps():
+    """Every map from each graph on <= 3 vertices into each graph on <= 4,
+    a seeded 1/16 of the maps from 4-vertex graphs, and broken maps."""
+    graphs = all_canonical(4)
+    rng = random.Random(4099)
+    total = Counter()
+    for a, b in product(graphs, repeat=2):
+        maps = [dict(enumerate(im))
+                for im in product(range(b.n), repeat=a.n)
+                if a.n < 4 or rng.random() < 1 / 16]
+        total += same_graph_verdicts(maps + broken_maps(a, b), a, b)
+    assert total[True] > 0 and total[False] > 0
+    assert total["not total"] == 3 * len(graphs) ** 2
+
+
+def test_graph_covering_check_matches_per_port_check_on_catalog():
+    for m in MAPS:
+        f, src, dst = vertex_map(m.name)
+        got = same_graph_verdicts([f], src, dst)
+        assert got == {m.expected_covering: 1}, m.name
+        same_graph_verdicts(broken_maps(src, dst), src, dst)
+    for e in ENTRIES:
+        if e.expected_kind != "exceeds_budget":
+            g = e.build()
+            res = universal_cover(g, verify=False)
+            assert same_graph_verdicts([res.projection], res.cover, g) == {
+                True: 1}, e.name
 
 
 def test_every_dimension_is_looked_up_in_the_target(k3, k4):

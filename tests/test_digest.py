@@ -20,8 +20,7 @@ def full_repr_digest(agent: PhasedAgent) -> str:
     """Reference digest: sha256 over the repr of the agent's whole state."""
     acc = None
     if agent.accepted is not None:
-        acc = (agent.accepted.graph.encoding(), agent.accepted.root,
-               agent.accepted_k)
+        acc = (agent.accepted.graph.encoding(), agent.accepted.root)
     state = (
         agent.k,
         agent.mode,
@@ -30,7 +29,6 @@ def full_repr_digest(agent: PhasedAgent) -> str:
         tuple((f[0], f[1], f[2], tuple(f[3]), f[4]) for f in agent.stack),
         agent._descend_port,
         tuple(agent.table.key(i) for i in range(len(agent.table))),
-        tuple(agent.view_ids),
         tuple(agent.phase_log),
         acc,
     )

@@ -243,6 +243,14 @@ def test_lift_requires_a_covering():
     f, src, dst = vertex_map("c6_to_k3")
     with pytest.raises(NotACovering):
         lift_check(src, dst, f)
+    f, src, dst = vertex_map("c8_to_c4")
+    del f[3]
+    with pytest.raises(NotACovering, match="map undefined on vertex 3$"):
+        lift_check(src, dst, f)
+    f[3] = 7
+    with pytest.raises(NotACovering,
+                       match="image 7 of vertex 3 out of range$"):
+        lift_check(src, dst, f)
 
 
 def test_lift_respects_cover_start():

@@ -1,12 +1,14 @@
 """Certificate-first contractibility against the exact-only paths it replaced.
 
 ``homotopy.contracts_within`` tries a greedy ``contraction_certificate``
-before exact A*; the halting test and the cover audit call it on every
-simple cycle.  The references below keep their exact-only forms: every
-cycle through ``is_k_contractible``.  The new paths must give the same
-bool, or raise the same exception type, on every canonical port graph on
-at most 4 vertices and on the catalog, and every certificate they accept
-must replay move by move to the trivial loop within its bound.
+before exact A*; the halting test calls it on every simple cycle, and the
+cover audit runs the halting test at one bound for the whole cover.  The
+references below keep their exact-only forms: every cycle through
+``is_k_contractible``; the audit also keeps its earlier loop of its own,
+a bound per cycle.  The new paths must give the same bool, or raise the
+same exception type, on every canonical port graph on at most 4 vertices
+and on the catalog, and every certificate they accept must replay move by
+move to the trivial loop within its bound.
 
 The fallback tests stub the greedy search out (it finds nothing, or passes
 its cap) and check that exact A* still decides, and that its own budget
@@ -54,18 +56,29 @@ def exact_halting_test(g, k):
     return all(is_k_contractible(cyc, cx, k) for cyc in simple_cycles(g))
 
 
-def exact_simply_connected(cover, budgets):
-    """``cover._simply_connected`` before certificates."""
+def reference_simply_connected(contracts, cover):
+    """``cover._simply_connected`` as it was with its own cycle loop: each
+    simple cycle must satisfy ``contracts`` at its own bound."""
     if cover.n <= _CYCLE_AUDIT_MAX_VERTICES:
         try:
+            cycles = simple_cycles(cover)
             cx = clique_complex(cover)
-            return all(is_k_contractible(cyc, cx, max(3 * (len(cyc) - 1), 8),
-                                         budgets)
-                       for cyc in simple_cycles(cover))
+            return all(contracts(cyc, cx, max(3 * (len(cyc) - 1), 8))
+                       for cyc in cycles)
         except BudgetExceeded:
             pass
     again = develop(cover.label, cover.neighbor, 0, cover.n + 1)
     return again is not None and len(again[0]) == cover.n
+
+
+def exact_simply_connected(cover):
+    """The audit before certificates: exact A* on every cycle."""
+    return reference_simply_connected(is_k_contractible, cover)
+
+
+def per_cycle_simply_connected(cover):
+    """The audit before it called the halting test."""
+    return reference_simply_connected(contracts_within, cover)
 
 
 def outcome(fn, *args):
@@ -152,12 +165,22 @@ def audit_inputs():
     return out
 
 
+def every_base_covers():
+    """The developed cover of every finite catalog entry from every base."""
+    out = []
+    for name in FINITE_ENTRIES:
+        g = graph(name)
+        for b in g.vertices:
+            out.append((f"{name}@{b}", universal_cover(g, b, verify=False).cover))
+    return out
+
+
 def test_audit_matches_exact_reference(certificates):
     verdicts = set()
-    for label, cover in audit_inputs():
-        got = outcome(_simply_connected, cover, DEFAULT_BUDGETS)
-        assert got == outcome(exact_simply_connected, cover,
-                              DEFAULT_BUDGETS), label
+    for label, cover in audit_inputs() + every_base_covers():
+        got = outcome(_simply_connected, cover)
+        assert got == outcome(exact_simply_connected, cover), label
+        assert got == outcome(per_cycle_simply_connected, cover), label
         verdicts.add(got)
     assert verdicts == {True, False}
     assert replay_all(certificates) > 0
@@ -201,7 +224,7 @@ def test_triangle_free_complex_never_tries_a_certificate(certificates):
                 assert (contracts_within(cyc, cx, k)
                         == is_k_contractible(cyc, cx, k))
         all_simple_cycles_k_contractible(g, g.n)
-    _simply_connected(graph("c4"), DEFAULT_BUDGETS)
+    _simply_connected(graph("c4"))
     assert certificates == []
 
 

@@ -7,7 +7,7 @@ earlier harness loop, which steps through ``PortGraph.label``, ``degree``,
 ``back_port`` and ``neighbor``.  The fused ``PhasedAgent.act`` under
 ``run_agent`` must agree with them move for move: equal step records
 (positions, entries, actions and memory digests), equal unrecorded run
-results, and equal phase logs, view ids and intern tables.
+results, and equal phase logs (view ids included) and intern tables.
 
 Inputs: every canonical port graph on at most 4 vertices from every start
 and every catalog terrain from its first and last vertex; both walks, in
@@ -121,7 +121,6 @@ def assert_same_runs(g, start):
         want = oracle_run(g, old, start, RUN_MOVES)
         assert got == want, where
         assert new.phase_log == old.phase_log, where
-        assert new.view_ids == old.view_ids, where
         assert new.table.digest() == old.table.digest(), where
         assert explorer.agent_digest(new) == explorer.agent_digest(old), where
 
