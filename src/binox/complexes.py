@@ -217,9 +217,13 @@ def coverings_agree(f: dict[int, int], src: PortGraph, dst: PortGraph) -> bool:
     Returns the shared verdict.  A map that is not even simplicial cannot
     be a graph covering either (port commutation forces simplex images),
     so NotSimplicial from the star test is folded into verdict False after
-    confirming the graph side agrees.
+    confirming the graph side agrees.  A partial map, or one with an image
+    outside dst, is neither, so it gets verdict False too.
     """
-    gc = is_graph_covering(f, src, dst)
+    try:
+        gc = is_graph_covering(f, src, dst)
+    except NotSimplicial:  # a vertex unmapped or mapped out of range
+        gc = False
     ks, kd = clique_complex(src), clique_complex(dst)
     try:
         sc = is_simplicial_covering(f, ks, kd)

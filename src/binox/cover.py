@@ -64,10 +64,11 @@ def develop(label, neighbor, root, budget: int, same=operator.eq):
     shared by every lifted vertex over it.
 
     lift[i] is the node under lifted vertex i.  The ports of i are the flat
-    slots ladj[off[i] : off[i + 1]], slot off[i] + p holding the lifted
-    neighbor through port p; ``off`` is an array('q') of len(lift) + 1
-    offsets and an unset slot holds -1 until its port is completed.  A port
-    that would index outside its vertex's slots raises InconsistentStar.
+    slots ladj[off[i] : off[i + 1]] of an array('q'), slot off[i] + p
+    holding the lifted neighbor through port p; ``off`` is an array('q') of
+    len(lift) + 1 offsets and an unset slot holds -1 until its port is
+    completed.  A port that would index outside its vertex's slots raises
+    InconsistentStar.
     Deterministic: lifted vertices are completed in creation order, ports
     in ascending order.
     """
@@ -83,7 +84,7 @@ def develop(label, neighbor, root, budget: int, same=operator.eq):
                 raise InconsistentStar(f"node {x}: label ports out of range")
         s = stars[x] = (deg, back, nn,
                         tuple(map(neighbor, repeat(x), range(deg))),
-                        (-1,) * deg)
+                        array("q", (-1,) * deg))
         return s
 
     def out_of_range(j, port, i):
@@ -93,7 +94,7 @@ def develop(label, neighbor, root, budget: int, same=operator.eq):
         )
 
     lift: list = [root]
-    ladj: list[int] = list(star(root)[4])
+    ladj = array("q", star(root)[4])
     off = array("q", (0, len(ladj)))
     i = 0
     while i < len(lift):
@@ -178,7 +179,7 @@ def develop(label, neighbor, root, budget: int, same=operator.eq):
     return lift, off, ladj
 
 
-def lifted_graph(lift: list, off: array, ladj: list[int], label) -> PortGraph:
+def lifted_graph(lift: list, off: array, ladj: array, label) -> PortGraph:
     """The port graph of a closed development; back ports from the labels."""
     edges = []
     for i, v in enumerate(lift):

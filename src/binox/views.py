@@ -102,21 +102,38 @@ def fold_graph(g: PortGraph, v: int, depth: int, table: ViewInterner,
         raise ValueError(f"vertex {v} out of range for a {g.n}-vertex graph")
     if depth < 0:
         raise ValueError("negative view depth")
+    return _fold(g, v, None, depth, table, nonbacktracking, {})
+
+
+def _fold(g: PortGraph, v: int, entry: int | None, depth: int,
+          table: ViewInterner, nb: bool, memo: dict) -> int:
+    """Interned id of the walk subtree at v entered through port ``entry``
+    (None at a root), ``depth`` levels deep; the entry port is skipped in
+    non-backtracking mode.
+
+    ``memo`` maps (vertex, entry, depth) in non-backtracking mode, else
+    (vertex, depth), to the ids of the subtrees folded so far; a caller may
+    share it between folds into the same table.  Each node the fold enters,
+    its root included, leaves an entry keyed by its vertex; a memo hit
+    enters nothing.  Keys enter the table in the post-order of the walk,
+    each at its first occurrence.
+    """
     adj, back, label, intern = g._adj, g._back, g.label, table.intern
-    nb = nonbacktracking
-    memo: dict[tuple, int] = {}
+    mk = (v, entry, depth) if nb else (v, depth)
+    got = memo.get(mk)
+    if got is not None:
+        return got
     # the open node is held in locals: its memo key, vertex, entry port,
     # its children's remaining depth, label, folded children, next port and
     # port count; its ancestors wait on the stack
     stack: list[tuple] = []
-    mk = (v, None, depth) if nb else (v, depth)
-    u, entry, r = v, None, depth - 1
+    u, r = v, depth - 1
     lab = label(v)
     children: list[tuple[int, int, int]] = []
     p, deg = 0, lab[0] if depth else 0
     while True:
         if p < deg:
-            if nb and p == entry:  # never at the root: entry None
+            if nb and p == entry:  # None only at the walk tree's root
                 p += 1
                 continue
             w, bp = adj[u][p], back[u][p]

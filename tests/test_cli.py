@@ -86,6 +86,16 @@ def test_explore_move_budget_bounds_an_exhaustive_run(capsys):
     assert got["candidate_vertices"] == "7"
 
 
+def test_explore_counts_stay_exact_past_64_bits(capsys):
+    budget = "1" + "0" * 30  # 10^30 moves, taken as computed phases
+    code, out, _ = run(capsys, "explore", g("c4"), "--max-moves", budget,
+                       "--porcelain")
+    assert code == 0
+    kv = porcelain(out)
+    assert (kv["status"], kv["moves"]) == ("budget_exhausted", budget)
+    assert len(kv["moves"]) == 31
+
+
 def test_explore_nonbacktracking_flag(capsys):
     code, out, _ = run(capsys, "explore", g("k3"), "--walk",
                        "nonbacktracking", "--porcelain")

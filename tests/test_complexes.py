@@ -440,6 +440,16 @@ def test_definitions_agree_on_catalog_maps():
         assert coverings_agree(f, src, dst) is want
 
 
+def test_definitions_agree_on_partial_and_out_of_range_maps():
+    f, src, dst = vertex_map("c8_to_c4")
+    del f[3]
+    assert coverings_agree(f, src, dst) is False
+    f[3] = 7  # c4 has vertices 0..3
+    assert coverings_agree(f, src, dst) is False
+    with pytest.raises(NotSimplicial, match="out of range$"):
+        is_graph_covering(f, src, dst)
+
+
 def test_definitions_agree_on_every_small_map():
     graphs = all_canonical(3)
     hits = 0

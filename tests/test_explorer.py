@@ -7,6 +7,7 @@ import pytest
 from binox import homotopy
 from binox.catalog import graph, vertex_map
 from binox.complexes import is_graph_covering
+from binox.cover import isomorphism, universal_cover
 from binox.enumeration import canonical_encoding
 from binox.errors import InvalidMove, NotACovering
 from binox.explorer import (PhasedAgent, agent_digest, explore, lift_check,
@@ -177,6 +178,27 @@ def test_nonbacktracking_frozen_counts(p2, k3):
     assert explore(p2, walk="nonbacktracking").moves == 6
     assert explore(k3, walk="nonbacktracking").moves == 80
     assert explore(graph("tree7"), walk="nonbacktracking").moves == 94
+
+
+def test_chordal6_halting_run():
+    g = graph("chordal6")
+    out = explore(g, move_budget=10**8, walk="nonbacktracking")
+    assert (out.status, out.halt_phase, out.moves) \
+        == ("halted", 7, 26636464)
+    assert out.visited == frozenset(g.vertices)
+
+
+def test_icosahedron_halting_run():
+    """About 14 s, nearly all of it the phase-13 halting test over the
+    candidate's 12,878 simple cycles; the walk is computed, not stepped."""
+    g = graph("icosahedron")
+    out = explore(g, move_budget=2 * 10**16, walk="nonbacktracking")
+    assert (out.status, out.halt_phase, out.moves) \
+        == ("halted", 13, 16012798675095050)
+    assert out.phases_completed == 13
+    assert out.visited == frozenset(g.vertices)
+    assert isomorphism(out.candidate.graph,
+                       universal_cover(g).cover) is not None
 
 
 # -- reconstruction -----------------------------------------------------------------
