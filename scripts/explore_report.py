@@ -7,9 +7,9 @@ once its walk reaches the phase above its cover's size: tree7 at phase 8
 (94 moves with --walk nonbacktracking, 272,896 with the full walk), the
 octahedron at phase 7 with --walk nonbacktracking --budget 30000000, and
 the icosahedron at phase 13 after 16,012,798,675,095,050 moves with
---walk nonbacktracking --budget 20000000000000000.  explore computes each
-phase's moves instead of taking them, so budgets of any size run in the
-time of the phase-end computations.
+--walk nonbacktracking --budget 20000000000000000.  explore folds each walk
+subtree it can afford instead of walking it, so budgets of any size run in
+the time of the phase-end computations.
 
 Run: python3 scripts/explore_report.py [names...] [--budget N]
      [--walk full|nonbacktracking]
@@ -46,8 +46,10 @@ def main(argv=None):
         print("\n".join(names()))
         return 0
 
-    header = f"{'terrain':<12} {'status':<16} {'phase':>5} {'moves':>20} " \
-             f"{'visited':>8} {'seconds':>8}"
+    # no run moves more than its budget, so the budget is the widest count
+    wide = len(str(args.budget))
+    header = (f"{'terrain':<12} {'status':<16} {'phase':>5} "
+              f"{'moves':>{wide}} {'visited':>8} {'seconds':>8}")
     print(header)
     print("-" * len(header))
     for name in args.names:
@@ -57,7 +59,7 @@ def main(argv=None):
         dt = time.monotonic() - t0
         phase = out.halt_phase if out.halt_phase is not None else "-"
         seen = f"{len(out.visited)}/{g.n}"
-        print(f"{name:<12} {out.status:<16} {phase:>5} {out.moves:>20} "
+        print(f"{name:<12} {out.status:<16} {phase:>5} {out.moves:>{wide}} "
               f"{seen:>8} {dt:>8.2f}")
     return 0
 

@@ -64,16 +64,19 @@ def develop(label, neighbor, root, budget: int, same=operator.eq):
     shared by every lifted vertex over it.
 
     lift[i] is the node under lifted vertex i.  The ports of i are the flat
-    slots ladj[off[i] : off[i + 1]] of an array('q'), slot off[i] + p
-    holding the lifted neighbor through port p; ``off`` is an array('q') of
+    slots ladj[off[i] : off[i + 1]] of an array, slot off[i] + p holding
+    the lifted neighbor through port p; ``off`` is an array('q') of
     len(lift) + 1 offsets and an unset slot holds -1 until its port is
-    completed.  A port that would index outside its vertex's slots raises
-    InconsistentStar.
+    completed.  Lifted indices stay below the budget, so ``ladj`` is an
+    array('i') of 32-bit slots unless the budget passes 2**31, and an
+    array('q') then.  A port that would index outside its vertex's slots
+    raises InconsistentStar.
     Deterministic: lifted vertices are completed in creation order, ports
     in ascending order.
     """
     if budget < 1:
         return None
+    code = "i" if budget <= 2**31 else "q"
     # node -> (deg, back, nn, neighbor at each port, its unset slots)
     stars: dict = {}
 
@@ -84,7 +87,7 @@ def develop(label, neighbor, root, budget: int, same=operator.eq):
                 raise InconsistentStar(f"node {x}: label ports out of range")
         s = stars[x] = (deg, back, nn,
                         tuple(map(neighbor, repeat(x), range(deg))),
-                        array("q", (-1,) * deg))
+                        array(code, (-1,) * deg))
         return s
 
     def out_of_range(j, port, i):
@@ -94,7 +97,7 @@ def develop(label, neighbor, root, budget: int, same=operator.eq):
         )
 
     lift: list = [root]
-    ladj = array("q", star(root)[4])
+    ladj = array(code, star(root)[4])
     off = array("q", (0, len(ladj)))
     i = 0
     while i < len(lift):

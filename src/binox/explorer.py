@@ -16,14 +16,14 @@ the candidate when it closes on fewer than k vertices, and halts when
 every simple cycle of the candidate is k-contractible.
 
 ``run_agent`` and ``lift_check`` step the agent move by move.
-``explore`` computes the same run: it counts each phase's moves and
-folds its view without taking them, and leaves the agent in exactly the
-state the stepped run would.
+``explore`` runs the same loop over the agent's own decisions, but folds
+each descent whose round trip fits in the moves left instead of taking
+it, and charges its moves; it leaves the agent in exactly the state the
+stepped run would.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -137,6 +137,7 @@ class PhasedAgent:
         recomputed only from the lowest frame that changed.
         """
         if self._config_hash is None:
+            import hashlib  # here, not at the top: explore never hashes
             cfg = (self.mode, self.walk,
                    tuple(h.encoding() for h in self.hints))
             self._config_hash = hashlib.sha256(repr(cfg).encode()).hexdigest()
@@ -163,6 +164,7 @@ class PhasedAgent:
         differs from the cached one are recomputed, reusing the rendering
         of the fixed fields of every frame that is still the cached object.
         """
+        import hashlib
         chain, stack = self._chain, self.stack
         d, top = 0, min(len(chain), len(stack))
         while d < top:
@@ -223,6 +225,7 @@ def agent_digest(agent) -> str:
     state that changed since the previous digest of the same agent, and
     equal states still give equal digests.
     """
+    import hashlib
     return hashlib.sha256(repr(agent.snapshot()).encode()).hexdigest()
 
 
@@ -313,43 +316,47 @@ def explore(g: PortGraph, start: int = 0, move_budget: int = MOVE_BUDGET,
             walk: str = "full") -> ExploreOutcome:
     """One full exploration run; asserts total visitation on halt.
 
-    The run is computed, not stepped, and equals
-    ``run_agent(g, PhasedAgent(mode, hints, walk), start, move_budget)``:
-    the same result and the same agent state, down to ``agent_digest``.
-    Phase k walks the depth-2k walk tree depth-first at two moves per tree
-    edge, so it costs 2 * (nodes - 1) moves.  A phase that fits in the
-    budget is folded into the agent's table and ended without a move being
-    taken.  The first phase that does not fit stops where the budget does:
-    the descent to that point folds the subtrees whose round trips fit,
-    opens a frame per move into the one that does not, and then takes the
-    agent's next decision, a descent or an ascent, unexecuted.
+    The run is the move loop of
+    ``run_agent(g, PhasedAgent(mode, hints, walk), start, move_budget)``
+    with one shortcut, so it has the same result and leaves the agent in
+    the same state, down to ``agent_digest``.  A descent whose round trip,
+    two moves per node of the child's walk subtree, fits in the moves left
+    is not taken: the descent is cancelled, the subtree is folded into the
+    top frame's children as the ascent back would leave them, and its
+    moves are charged.  Every other decision is taken as one move, so a
+    phase that fits costs one pass per port of home, and the phase the
+    budget cuts one pass per port of each frame it opens.
     """
     agent = PhasedAgent(mode=mode, hints=hints, walk=walk)
     if not 0 <= start < g.n:
         raise InvalidMove(f"start vertex {start} out of range")
-    adj, back, nb = g._adj, g._back, agent.nb
-    sizes: dict = {}  # walk-tree node counts, keyed as the fold memo
+    adj, back, label, nb = g._adj, g._back, g.label, agent.nb
+    stack = agent.stack
+    sizes: dict = {}  # walk-subtree node counts, keyed as the fold memo
     folds: dict = {}  # fold memo, shared by every fold of this run
-    entered = {start}  # vertices entered other than by a fold
-    moves = 0
-    agent.k = 1
+    pos, entry, moves = start, None, 0
+    visited = {start}
     while True:
-        depth = 2 * agent.k
-        left = max(0, move_budget - moves)
-        cost = 2 * (_tree_size(adj, back, nb, sizes, start, None, depth) - 1)
-        if cost > left:
-            pos = _stop_in_phase(g, agent, start, depth, left, sizes, folds,
-                                 entered)
-            moves = max(moves, move_budget)  # 0 for a negative budget
+        action = agent.act((label(pos), entry))
+        if action is None or moves >= move_budget:
             break
-        moves += cost
-        ident = _fold(g, start, None, depth, agent.table, nb, folds)
-        if agent._phase_end(ident):
-            pos = start
-            break
+        w, bp = adj[pos][action], back[pos][action]
+        if agent._descend_port is not None:
+            depth = 2 * agent.k - len(stack)
+            size = _fold(g, w, bp, depth, _count, nb, sizes)
+            if 2 * size <= move_budget - moves:
+                agent._descend_port = None
+                ident = _fold(g, w, bp, depth, agent.table.intern, nb, folds)
+                stack[-1][3].append((action, bp, ident))
+                moves += 2 * size
+                entry = action  # back home through the port it left by
+                continue
+        pos, entry = w, bp
+        moves += 1
+        visited.add(pos)
     # a fold memoizes every subtree it enters, keyed by the subtree's vertex
-    run = RunResult(agent.accepted is not None, moves, start, pos,
-                    frozenset(entered.union(key[0] for key in folds)), ())
+    run = RunResult(action is None, moves, start, pos,
+                    frozenset(visited.union(key[0] for key in folds)), ())
     if run.halted and run.visited != frozenset(g.vertices):
         raise KernelFault(
             f"halted having visited {len(run.visited)} of {g.n} vertices"
@@ -366,86 +373,12 @@ def explore(g: PortGraph, start: int = 0, move_budget: int = MOVE_BUDGET,
     )
 
 
-def _tree_size(adj, back, nb: bool, memo: dict, v: int, entry: int | None,
-               depth: int) -> int:
-    """Nodes of the depth-``depth`` walk tree at v entered through port
-    ``entry`` (None at the root), skipped in non-backtracking mode.
-
-    ``memo`` maps (vertex, entry, depth) in non-backtracking mode, else
-    (vertex, depth), to counts, and gains every subtree counted.  The count
-    keeps its own stack, so any depth counts.
-    """
-    key = (v, entry, depth) if nb else (v, depth)
-    stack = [(key, v, entry, depth)]
-    while stack:
-        mk, u, e, d = stack[-1]
-        if mk in memo:
-            stack.pop()
-            continue
-        total, missing = 1, []
-        if d:
-            for p, w in enumerate(adj[u]):
-                if nb and p == e:
-                    continue
-                bp = back[u][p]
-                ck = (w, bp, d - 1) if nb else (w, d - 1)
-                got = memo.get(ck)
-                if got is None:
-                    missing.append((ck, w, bp, d - 1))
-                else:
-                    total += got
-        if missing:
-            stack += missing
-        else:
-            memo[mk] = total
-            stack.pop()
-    return memo[key]
-
-
-def _stop_in_phase(g: PortGraph, agent: PhasedAgent, v: int, depth: int,
-                   left: int, sizes: dict, folds: dict, entered: set) -> int:
-    """Put the agent where a phase that costs more than ``left`` moves
-    stands after its first ``left`` moves and one more decision; returns
-    the vertex of that decision.
-
-    The agent is at home with an empty stack and the phase's ``k`` set.  At
-    each frame the next child's subtree is folded whole when its round trip,
-    two moves per node, fits in the moves left; otherwise the walk enters
-    it, opening its frame for one move.  With no move left the agent's next
-    decision is taken: the descent to the frame's next port, or, once the
-    frame has none, the ascent that interns it.  A frame runs out of ports
-    only then, since the phase does not fit and every child that does is
-    folded.  ``entered`` gains the vertex of each frame opened.
-    """
-    adj, back, label, nb = g._adj, g._back, g.label, agent.nb
-    table, stack = agent.table, agent.stack
-    frame = [None, None, label(v), [], 0]
-    stack.append(frame)
-    while True:
-        p = frame[4]
-        if nb and p == frame[1]:  # never at the root: entry None
-            p += 1
-        if not depth or p >= frame[2][0]:
-            ident = table.intern((frame[2], tuple(frame[3])))
-            stack.pop()
-            stack[-1][3].append((frame[0], frame[1], ident))
-            return v
-        frame[4] = p + 1
-        if not left:
-            agent._descend_port = p
-            return v
-        w, bp = adj[v][p], back[v][p]
-        size = _tree_size(adj, back, nb, sizes, w, bp, depth - 1)
-        if 2 * size <= left:
-            left -= 2 * size
-            ident = _fold(g, w, bp, depth - 1, table, nb, folds)
-            frame[3].append((p, bp, ident))
-        else:
-            left -= 1
-            entered.add(w)
-            frame = [p, bp, label(w), [], 0]
-            stack.append(frame)
-            v, depth = w, depth - 1
+def _count(key: tuple) -> int:
+    """Interner for ``views._fold`` that counts a subtree's nodes."""
+    nodes = 1
+    for _, _, child_nodes in key[1]:
+        nodes += child_nodes
+    return nodes
 
 
 # reconstructed_projection(h, root, g, start): candidate vertices -> the

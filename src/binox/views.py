@@ -15,7 +15,6 @@ depth; all code here respects that.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 
 from .graphs import Label, PortGraph
@@ -56,6 +55,7 @@ class ViewInterner:
         call equals a hash of the whole table.  ``intern`` never touches it.
         """
         if self._hash is None:
+            import hashlib  # here, not at the top: folds never hash
             self._hash = hashlib.sha256()
         h = self._hash
         for key in self._keys[self._hashed:]:
@@ -102,23 +102,26 @@ def fold_graph(g: PortGraph, v: int, depth: int, table: ViewInterner,
         raise ValueError(f"vertex {v} out of range for a {g.n}-vertex graph")
     if depth < 0:
         raise ValueError("negative view depth")
-    return _fold(g, v, None, depth, table, nonbacktracking, {})
+    return _fold(g, v, None, depth, table.intern, nonbacktracking, {})
 
 
 def _fold(g: PortGraph, v: int, entry: int | None, depth: int,
-          table: ViewInterner, nb: bool, memo: dict) -> int:
-    """Interned id of the walk subtree at v entered through port ``entry``
-    (None at a root), ``depth`` levels deep; the entry port is skipped in
-    non-backtracking mode.
+          intern, nb: bool, memo: dict):
+    """What ``intern`` returns for the key of the walk subtree at v
+    entered through port ``entry`` (None at a root), ``depth`` levels deep;
+    the entry port is skipped in non-backtracking mode.
 
+    A key is (label, ((out port, in port, value), ...)), each value what
+    ``intern`` returned for that child: ``table.intern`` gives its id, and
+    an interner returning 1 + the sum of the child values counts nodes.
     ``memo`` maps (vertex, entry, depth) in non-backtracking mode, else
-    (vertex, depth), to the ids of the subtrees folded so far; a caller may
-    share it between folds into the same table.  Each node the fold enters,
-    its root included, leaves an entry keyed by its vertex; a memo hit
-    enters nothing.  Keys enter the table in the post-order of the walk,
-    each at its first occurrence.
+    (vertex, depth), to the values of the subtrees folded so far; a caller
+    may share it between folds with the same ``intern``.  Each node the
+    fold enters, its root included, leaves an entry keyed by its vertex; a
+    memo hit enters nothing.  Keys reach ``intern`` in the post-order of
+    the walk, one per memo entry made.
     """
-    adj, back, label, intern = g._adj, g._back, g.label, table.intern
+    adj, back, label = g._adj, g._back, g.label
     mk = (v, entry, depth) if nb else (v, depth)
     got = memo.get(mk)
     if got is not None:

@@ -118,6 +118,10 @@ def test_canonical_graphs_at_every_budget(n):
             top = INFINITE_CAP if full is None else len(full[0]) + 1
             for budget in range(1, top + 1):
                 assert_agree(g.label, g.neighbor, base, budget)
+            if full is not None:  # a budget past 2**31 takes 64-bit slots
+                assert full[2].typecode == "i"
+                wide = assert_agree(g.label, g.neighbor, base, 2**31 + 1)
+                assert wide[2].typecode == "q"
             closed += full is not None
             infinite += full is None
     assert closed and (n < 4 or infinite)
@@ -267,9 +271,9 @@ def test_inconsistent_sources_raise(case):
 
 
 def test_flat_development_memory_per_lifted_vertex():
-    """About 39 B per lifted vertex on grid3 (Python 3.11) with the ports
-    in an array('q'); a list of ports took about 86, and the dict per
-    vertex before it about 286."""
+    """About 28 B per lifted vertex on grid3 (Python 3.11) with the ports
+    in an array('i'); an array('q') took about 39, a list of ports about
+    86, and the dict per vertex before it about 286."""
     g = graph("grid3")
     for v in g.vertices:
         g.label(v)  # cached on the graph, not charged to the development

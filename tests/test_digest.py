@@ -8,12 +8,16 @@ the same equality relation on agent states, step for step.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from binox.catalog import graph, vertex_map
 from binox.cover import universal_cover
-from binox.explorer import PhasedAgent, agent_digest, run_agent
+from binox.explorer import PhasedAgent, agent_digest, explore, run_agent
 
 
 def full_repr_digest(agent: PhasedAgent) -> str:
@@ -117,3 +121,23 @@ def test_digest_is_independent_of_when_it_was_taken(name, steps):
     agent = PhasedAgent()
     run_agent(g, agent, 0, steps)
     assert agent_digest(agent) == recorded.steps[-1].digest
+
+
+def test_exploring_never_loads_hashlib():
+    """hashlib (and OpenSSL behind it) is imported by the first digest,
+    not by ``import binox``: explore, cover and contract never hash."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src,
+                                                      env.get("PYTHONPATH")]))
+    code = ("import sys, binox\n"
+            "from binox.catalog import graph\n"
+            "out = binox.explore(graph('k4'))\n"
+            "print('hashlib' in sys.modules)\n"
+            "print(binox.agent_digest(out.agent))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    loaded, digest = proc.stdout.split()
+    assert loaded == "False"
+    assert digest == agent_digest(explore(graph("k4")).agent)

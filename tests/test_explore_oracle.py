@@ -1,11 +1,11 @@
 """`explore` against the move loop whose result it computes.
 
-``explore`` folds every phase that fits in its budget and descends the
-walk tree of the first one that does not, to the point where the budget
-stops it, without taking a move.  ``run_agent`` steps a ``PhasedAgent``
-move by move.  For every input and budget the two must agree on status,
-moves, phases, halt phase, candidate, visited vertices, final position,
-phase log (view ids included) and the agent's memory digest.
+``explore`` runs a ``PhasedAgent``'s decisions as ``run_agent`` does, but
+folds each walk subtree whose round trip fits in the moves left instead
+of descending into it, and charges the round trip.  ``run_agent`` steps
+the agent move by move.  For every input and budget the two must agree on
+status, moves, phases, halt phase, candidate, visited vertices, final
+position, phase log (view ids included) and the agent's memory digest.
 
 Budgets: -1, 0, each phase end within the cap and one move either side
 of it, a mid-phase value per phase, the cap itself and, when the run halts
@@ -17,6 +17,12 @@ walks in exhaustive mode, plus k3 and the octahedron in hinted mode with
 themselves as the hint.  A hinted run on k1 without a usable hint never
 returns, stepped or computed (every phase ends without a move), so it is
 not an input.
+
+Every budget: one recorded run of at most 600 moves gives, for each
+budget b up to its end, the digest and position of decision b, the
+vertices of decisions 0 to b, whether decision b is the halt, and b
+moves; on every canonical port graph on at most 3 vertices and on k4, c4
+and tree7 from vertex 0, on both walks.
 """
 
 import pytest
@@ -29,6 +35,7 @@ from conftest import all_canonical
 
 CANONICAL_CAP = 400  # literal moves per run on the small graphs
 CATALOG_CAP = 10**5  # literal moves per run on the catalog terrains
+EVERY_BUDGET_CAP = 600  # recorded moves per run, one explore per budget
 # phase ends kept on a long run (the cycles' non-backtracking walks end
 # about 150 phases within the catalog cap)
 KEPT_FIRST, KEPT_LAST = 6, 2
@@ -110,6 +117,27 @@ def test_hinted_terrains(name, walk):
     g = graph(name)
     assert_explore_is_literal(g, 0, CATALOG_CAP, mode="hinted", hints=[g],
                               walk=walk)
+
+
+@pytest.mark.parametrize("walk", WALKS)
+def test_every_budget_against_one_recorded_run(walk):
+    """One recorded run gives the outcome of every budget b up to its end:
+    after b moves the agent makes decision b, which a budget of b leaves
+    unexecuted, unless it is the halt."""
+    terrains = list(all_canonical(3))
+    terrains += [graph(name) for name in ("k4", "c4", "tree7")]
+    for g in terrains:
+        steps = run_agent(g, PhasedAgent(walk=walk), 0, EVERY_BUDGET_CAP,
+                          record=True).steps
+        visited = set()
+        for b, step in enumerate(steps):
+            visited.add(step.position)
+            out = explore(g, 0, b, walk=walk)
+            got = (out.halted, out.moves, out.run.final_position,
+                   out.visited, agent_digest(out.agent))
+            want = (step.action is None, b, step.position, visited,
+                    step.digest)
+            assert got == want, (g.encoding(), b, walk)
 
 
 def test_budgets_cover_halts_and_stops_mid_phase():

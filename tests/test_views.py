@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings
 
 from binox.catalog import cycle_graph, graph, names, vertex_map
-from binox.views import (ViewInterner, fold_graph, format_view, reintern,
-                         view_key)
+from binox.explorer import _count
+from binox.views import (ViewInterner, _fold, fold_graph, format_view,
+                         reintern, view_key)
 
 from conftest import all_canonical, graph_with_vertex, same_view, walk_tree
 
@@ -98,11 +99,15 @@ def test_deeper_view_restricts_to_shallower(a, b):
                 assert same_view(g1, v1, g2, v2, k)
 
 
-def walk_tree_size(g, v, k):
-    """Independent node-count oracle: 1 + sum over neighbours at k-1."""
+def walk_tree_size(g, v, k, nonbacktracking=False, entry=None):
+    """Independent node-count oracle: 1 + sum over neighbours at k-1, the
+    entry port skipped on the non-backtracking walk."""
     if k == 0:
         return 1
-    return 1 + sum(walk_tree_size(g, w, k - 1) for w in g.neighbors(v))
+    return 1 + sum(walk_tree_size(g, w, k - 1, nonbacktracking,
+                                  g.back_port(v, p))
+                   for p, w in enumerate(g.neighbors(v))
+                   if not (nonbacktracking and p == entry))
 
 
 @given(graph_with_vertex())
@@ -221,17 +226,23 @@ def recursive_format(table, ident, depth):
 @pytest.mark.parametrize("nonbacktracking", (False, True))
 def test_folds_match_the_recursive_fold(nonbacktracking):
     """Same ids, same table contents in the same order, same re-interned
-    ids and same text as the recursive functions, on every canonical graph
-    on at most 4 vertices and every catalog terrain, from every vertex."""
+    ids and same text as the recursive functions, and the node counts of
+    the explorer's counting interner, on every canonical graph on at most
+    4 vertices and every catalog terrain, from every vertex."""
     terrains = all_canonical(4) + tuple(graph(name) for name in names())
     seed = graph("k3")
     for g in terrains:
-        for depth in (0, 1, 2, 4):
+        for depth in range(5):
             got, want = ViewInterner(), ViewInterner()
             ids = [fold_graph(g, v, depth, got, nonbacktracking)
                    for v in g.vertices]
             assert ids == [recursive_fold(g, v, depth, want, nonbacktracking)
                            for v in g.vertices]
+            sizes = {}  # shared, as explore shares it
+            assert ([_fold(g, v, None, depth, _count, nonbacktracking, sizes)
+                     for v in g.vertices]
+                    == [walk_tree_size(g, v, depth, nonbacktracking)
+                        for v in g.vertices])
             assert got.digest() == want.digest()
             got2, want2 = ViewInterner(), ViewInterner()
             fold_graph(seed, 0, 2, got2)  # dst already holds other shapes
