@@ -24,6 +24,7 @@ stepped run would.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -38,6 +39,11 @@ from .views import ViewInterner, _fold, view_key
 Observation = tuple[Label, "int | None"]
 
 MOVE_BUDGET = 10**6  # default agent moves per exploration run
+
+# fixed-width fields of the frame encoding hashed by PhasedAgent._stack_hash
+_FIELD = struct.Struct("<q")  # a head's byte length, or a next port
+_CHILD = struct.Struct("<qqq")  # (via port, entry port, interned id)
+_ROOT = bytes(32)  # the link below the root frame
 
 
 class PhasedAgent:
@@ -69,7 +75,9 @@ class PhasedAgent:
         self.accepted: Candidate | None = None  # halts at phase k once set
         # digest caches, filled by snapshot() only
         self._config_hash: str | None = None
-        self._chain: list[tuple] = []  # see _stack_hash
+        self._rest_at: tuple | None = None  # (table, log) lengths of _rest
+        self._rest: str | None = None
+        self._chain: list[list] = []  # see _stack_hash
 
     # -- protocol ----------------------------------------------------------
 
@@ -124,68 +132,83 @@ class PhasedAgent:
     def snapshot(self) -> tuple:
         """Agent state as compact plain data; input to the memory digest.
 
-        Small state enters as is: k, the pending descent port, the phase
-        log (each phase's view id included) and the accepted candidate.
-        The rest enters as sha256 values of its full rendering: the fixed
-        configuration (mode, walk, hint encodings), the intern table
-        (length and running digest) and the frame stack (a hash chain, one
-        link per depth).
-        Each hash is a function of the value it covers, so equal states
-        give equal snapshots and, up to sha256 collisions, unequal states
-        unequal ones.  The cost tracks what changed since the previous
-        call: table keys are append-only and hashed once, and the chain is
-        recomputed only from the lowest frame that changed.
+        k and the pending descent port enter as they are.  The frame stack
+        enters as the top link of a hash chain (``_stack_hash``).  The
+        rest enters as one sha256 value over the configuration's hash
+        (mode, walk, hint encodings), the intern table (length and running
+        digest), the phase log (each phase's view id included) and the
+        accepted candidate.  Each hash covers an injective rendering of
+        its part, so equal states give equal snapshots and, up to sha256
+        collisions, unequal states unequal ones.
+
+        Both hashes are cached, so a digest hashes only what changed since
+        the previous one: a constant amount per frame that changed, and
+        the rest only when the table or the phase log grew (both are
+        append-only, and ``accepted`` is set only at a phase end, which
+        appends to the log).
         """
-        if self._config_hash is None:
+        table, log = self.table, self.phase_log
+        if self._rest_at != (len(table), len(log)):
             import hashlib  # here, not at the top: explore never hashes
-            cfg = (self.mode, self.walk,
-                   tuple(h.encoding() for h in self.hints))
-            self._config_hash = hashlib.sha256(repr(cfg).encode()).hexdigest()
-        acc = None
-        if self.accepted is not None:
-            acc = (self.accepted.graph.encoding(), self.accepted.root)
-        return (
-            self.k,
-            self._descend_port,
-            self._stack_hash(),
-            len(self.table),
-            self.table.digest(),
-            tuple(self.phase_log),
-            acc,
-            self._config_hash,
-        )
+            if self._config_hash is None:
+                cfg = (self.mode, self.walk,
+                       tuple(h.encoding() for h in self.hints))
+                self._config_hash = hashlib.sha256(
+                    repr(cfg).encode()).hexdigest()
+            acc = None
+            if self.accepted is not None:
+                acc = (self.accepted.graph.encoding(), self.accepted.root)
+            rest = (len(table), table.digest(), tuple(log), acc,
+                    self._config_hash)
+            self._rest = hashlib.sha256(repr(rest).encode()).hexdigest()
+            self._rest_at = (len(table), len(log))
+        return (self.k, self._descend_port, self._stack_hash(), self._rest)
 
     def _stack_hash(self) -> str | None:
         """Top link of the per-depth hash chain over the frame stack.
 
-        A frame's port, entry and label are fixed when it is pushed and its
-        children list only grows, so (frame object, child count, next port)
-        pins its value.  Links from the first depth where that triple
-        differs from the cached one are recomputed, reusing the rendering
-        of the fixed fields of every frame that is still the cached object.
+        Link j is sha256 over link j - 1 (32 zero bytes below the root)
+        and an injective byte encoding of frame j: its head (via, entry,
+        label) rendered by repr behind an 8-byte length, each child
+        triple in three 8-byte fields, then its next port in 8 bytes.
+        Ids and ports past 2**63 - 1 raise ``struct.error``, never collide.
+
+        A frame's head is fixed when it is pushed and its children only
+        grow, so each chain entry keeps a running sha256 over the link
+        below, the head and the children packed so far, and a link is a
+        copy of it closed with the next port.  Frames are never pushed
+        twice, so while the highest frame that is still the cached object
+        stayed on the stack nothing below it changed: the scan starts from
+        the top, and only that frame and the frames above it are relinked.
         """
-        import hashlib
         chain, stack = self._chain, self.stack
-        d, top = 0, min(len(chain), len(stack))
-        while d < top:
-            frame, n_children, next_port, _, _ = chain[d]
-            f = stack[d]
-            if frame is not f or n_children != len(f[3]) or next_port != f[4]:
-                break
-            d += 1
-        link = chain[d - 1][4] if d else b""
-        links = []
-        for j in range(d, len(stack)):
-            f = stack[j]
-            if j < len(chain) and chain[j][0] is f:
-                head = chain[j][3]
+        d = len(stack)
+        if d > len(chain):
+            d = len(chain)
+        while d and chain[d - 1][0] is not stack[d - 1]:
+            d -= 1
+        del chain[d:]
+        j = d - 1 if d else 0
+        for f in stack[j:]:
+            if j < d:
+                entry = chain[j]
             else:
+                import hashlib  # a new frame; see snapshot
                 head = repr((f[0], f[1], f[2])).encode()
-            tail = repr((tuple(f[3]), f[4])).encode()
-            link = hashlib.sha256(link + head + tail).digest()
-            links.append((f, len(f[3]), f[4], head, link))
-        chain[d:] = links
-        return link.hex() if chain else None
+                h = hashlib.sha256(chain[j - 1][3] if j else _ROOT)
+                h.update(_FIELD.pack(len(head)) + head)
+                entry = [f, h, 0, None]  # frame, hash, children in it, link
+                chain.append(entry)
+            children, h = f[3], entry[1]
+            if entry[2] < len(children):
+                for child in children[entry[2]:]:
+                    h.update(_CHILD.pack(*child))
+                entry[2] = len(children)
+            link = h.copy()
+            link.update(_FIELD.pack(f[4]))
+            entry[3] = link.digest()
+            j += 1
+        return chain[-1][3].hex() if chain else None
 
     # -- internals ----------------------------------------------------------
 
@@ -220,10 +243,10 @@ def agent_digest(agent) -> str:
     which repr is canonical.  Reference-sharing serializers (pickle) are
     unsuitable here: byte output would depend on which equal label tuples
     happen to be the same object, which differs across terrains.  For a
-    PhasedAgent the snapshot carries hashes of its large parts (see
-    ``PhasedAgent.snapshot``), so a digest costs time proportional to the
-    state that changed since the previous digest of the same agent, and
-    equal states still give equal digests.
+    PhasedAgent the snapshot carries cached hashes of its large parts (see
+    ``PhasedAgent.snapshot``), so a digest after one move costs a constant
+    amount of hashing, whatever the stack depth, and equal states still
+    give equal digests.
     """
     import hashlib
     return hashlib.sha256(repr(agent.snapshot()).encode()).hexdigest()
