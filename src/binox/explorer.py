@@ -26,7 +26,8 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Iterable
+from itertools import count
+from typing import Iterable, NamedTuple
 
 from .complexes import is_graph_covering
 from .enumeration import Candidate, find_candidate
@@ -40,9 +41,11 @@ Observation = tuple[Label, "int | None"]
 
 MOVE_BUDGET = 10**6  # default agent moves per exploration run
 
-# fixed-width fields of the frame encoding hashed by PhasedAgent._stack_hash
+# fixed-width fields of the encoding hashed by PhasedAgent.digest
 _FIELD = struct.Struct("<q")  # a head's byte length, or a next port
 _CHILD = struct.Struct("<qqq")  # (via port, entry port, interned id)
+_TAIL = struct.Struct("<qq")  # (k, descent port or -1)
+_TOP = struct.Struct("<qqq")  # the top frame's next port, then the tail
 _ROOT = bytes(32)  # the link below the root frame
 
 
@@ -73,11 +76,12 @@ class PhasedAgent:
         self._descend_port: int | None = None
         self.phase_log: list[tuple] = []
         self.accepted: Candidate | None = None  # halts at phase k once set
-        # digest caches, filled by snapshot() only
+        # digest caches, filled by digest() only
         self._config_hash: str | None = None
         self._rest_at: tuple | None = None  # (table, log) lengths of _rest
-        self._rest: str | None = None
-        self._chain: list[list] = []  # see _stack_hash
+        self._rest: bytes | None = None
+        self._chain: list[list] = []  # see digest
+        self._heads: dict[tuple, bytes] = {}  # frame head -> its encoding
 
     # -- protocol ----------------------------------------------------------
 
@@ -88,7 +92,7 @@ class PhasedAgent:
 
         The top frame is always at the observed vertex, so its degree is
         ``label[0]``.  A frame with no ports left keeps the ``next_port``
-        value it ran out at (``snapshot`` hashes that field).
+        value it ran out at (``digest`` hashes that field).
         """
         label, entry = obs
         if self.accepted is not None:
@@ -129,23 +133,39 @@ class PhasedAgent:
             frame = [None, None, frame[2], [], 0]
             stack.append(frame)
 
-    def snapshot(self) -> tuple:
-        """Agent state as compact plain data; input to the memory digest.
+    def digest(self) -> str:
+        """sha256 memory digest: a function of the agent's state.
 
-        k and the pending descent port enter as they are.  The frame stack
-        enters as the top link of a hash chain (``_stack_hash``).  The
-        rest enters as one sha256 value over the configuration's hash
-        (mode, walk, hint encodings), the intern table (length and running
-        digest), the phase log (each phase's view id included) and the
-        accepted candidate.  Each hash covers an injective rendering of
-        its part, so equal states give equal snapshots and, up to sha256
-        collisions, unequal states unequal ones.
+        The frame stack enters as a hash chain.  Frame j's running hash
+        starts from the 32-byte link below it (32 zero bytes below the
+        root) and covers an injective byte encoding of the frame: its head
+        (via, entry, label) rendered by repr behind an 8-byte length, then
+        each child triple in three 8-byte fields.  The digest is a copy of
+        the top frame's running hash closed with the tail: the top frame's
+        next port, k and the pending descent port (-1 for None) in 8 bytes
+        each, then the 32 raw bytes of the rest hash.  The rest hash is
+        sha256 over the repr of the configuration's hash (mode, walk, hint
+        encodings), the intern table (length and running digest), the phase
+        log (each phase's view id included) and the accepted candidate.  An
+        empty stack hashes the tail without a next port; the message
+        lengths tell it from any frame.  Equal states give equal digests
+        and, up to sha256 collisions, unequal states unequal ones.  Ids and
+        ports past 2**63 - 1 raise ``struct.error``, never collide.
 
-        Both hashes are cached, so a digest hashes only what changed since
-        the previous one: a constant amount per frame that changed, and
-        the rest only when the table or the phase log grew (both are
-        append-only, and ``accepted`` is set only at a phase end, which
-        appends to the log).
+        Everything is cached, so a digest hashes only what changed since
+        the previous one, and renders each distinct head once.  A frame's
+        head is fixed when it is pushed and its children only grow, so
+        each chain entry keeps its running hash over the children packed
+        so far.  Link j is a copy of frame j's
+        running hash closed with its next port, built when frame j + 1 is
+        hashed first; that port cannot change while frame j + 1 sits on
+        it.  Frames are never pushed twice, so while the highest frame
+        that is still the cached object stayed on the stack nothing below
+        it changed: the scan starts from the top, and only that frame and
+        the frames above it are rehashed.  The rest hash is recomputed
+        only when the table or the phase log grew (both are append-only,
+        and ``accepted`` is set only at a phase end, which appends to the
+        log).
         """
         table, log = self.table, self.phase_log
         if self._rest_at != (len(table), len(log)):
@@ -160,28 +180,17 @@ class PhasedAgent:
                 acc = (self.accepted.graph.encoding(), self.accepted.root)
             rest = (len(table), table.digest(), tuple(log), acc,
                     self._config_hash)
-            self._rest = hashlib.sha256(repr(rest).encode()).hexdigest()
+            self._rest = hashlib.sha256(repr(rest).encode()).digest()
             self._rest_at = (len(table), len(log))
-        return (self.k, self._descend_port, self._stack_hash(), self._rest)
-
-    def _stack_hash(self) -> str | None:
-        """Top link of the per-depth hash chain over the frame stack.
-
-        Link j is sha256 over link j - 1 (32 zero bytes below the root)
-        and an injective byte encoding of frame j: its head (via, entry,
-        label) rendered by repr behind an 8-byte length, each child
-        triple in three 8-byte fields, then its next port in 8 bytes.
-        Ids and ports past 2**63 - 1 raise ``struct.error``, never collide.
-
-        A frame's head is fixed when it is pushed and its children only
-        grow, so each chain entry keeps a running sha256 over the link
-        below, the head and the children packed so far, and a link is a
-        copy of it closed with the next port.  Frames are never pushed
-        twice, so while the highest frame that is still the cached object
-        stayed on the stack nothing below it changed: the scan starts from
-        the top, and only that frame and the frames above it are relinked.
-        """
+        dp = self._descend_port
+        if dp is None:
+            dp = -1
         chain, stack = self._chain, self.stack
+        if not stack:
+            del chain[:]
+            import hashlib  # the rest hash imported it
+            return hashlib.sha256(_TAIL.pack(self.k, dp)
+                                  + self._rest).hexdigest()
         d = len(stack)
         if d > len(chain):
             d = len(chain)
@@ -193,22 +202,31 @@ class PhasedAgent:
             if j < d:
                 entry = chain[j]
             else:
-                import hashlib  # a new frame; see snapshot
-                head = repr((f[0], f[1], f[2])).encode()
-                h = hashlib.sha256(chain[j - 1][3] if j else _ROOT)
-                h.update(_FIELD.pack(len(head)) + head)
-                entry = [f, h, 0, None]  # frame, hash, children in it, link
+                import hashlib  # a new frame; see above
+                if j:
+                    below = chain[j - 1]
+                    link = below[1].copy()
+                    link.update(_FIELD.pack(below[0][4]))
+                    h = hashlib.sha256(link.digest())
+                else:
+                    h = hashlib.sha256(_ROOT)
+                key = (f[0], f[1], f[2])
+                head = self._heads.get(key)
+                if head is None:
+                    head = repr(key).encode()
+                    head = self._heads[key] = _FIELD.pack(len(head)) + head
+                h.update(head)
+                entry = [f, h, 0]  # frame, running hash, children in it
                 chain.append(entry)
             children, h = f[3], entry[1]
             if entry[2] < len(children):
                 for child in children[entry[2]:]:
                     h.update(_CHILD.pack(*child))
                 entry[2] = len(children)
-            link = h.copy()
-            link.update(_FIELD.pack(f[4]))
-            entry[3] = link.digest()
             j += 1
-        return chain[-1][3].hex() if chain else None
+        top = h.copy()
+        top.update(_TOP.pack(f[4], self.k, dp) + self._rest)
+        return top.hexdigest()
 
     # -- internals ----------------------------------------------------------
 
@@ -237,26 +255,24 @@ class PhasedAgent:
 
 
 def agent_digest(agent) -> str:
-    """sha256 over a value-based rendering of the agent's snapshot.
+    """The agent's sha256 memory digest, 64 hex characters: ``agent.digest()``.
 
-    The snapshot is nested plain data (tuples, ints, strings, None), for
-    which repr is canonical.  Reference-sharing serializers (pickle) are
-    unsuitable here: byte output would depend on which equal label tuples
-    happen to be the same object, which differs across terrains.  For a
-    PhasedAgent the snapshot carries cached hashes of its large parts (see
-    ``PhasedAgent.snapshot``), so a digest after one move costs a constant
-    amount of hashing, whatever the stack depth, and equal states still
-    give equal digests.
+    Equal states must give equal digests, so the rendering is value based:
+    plain data (tuples, ints, strings, None) by repr, which is canonical
+    for it, and ints in fixed-width fields.  Reference-sharing serializers
+    (pickle) are unsuitable here: byte output would depend on which equal
+    label tuples happen to be the same object, which differs across
+    terrains.  A PhasedAgent caches hashes of its large parts (see
+    ``PhasedAgent.digest``), so a digest after one move costs a constant
+    amount of hashing, whatever the stack depth.
     """
-    import hashlib
-    return hashlib.sha256(repr(agent.snapshot()).encode()).hexdigest()
+    return agent.digest()
 
 
 # -- harness --------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class StepRecord:
+class StepRecord(NamedTuple):
     position: int
     entry: int | None
     action: int | None  # None means halt
@@ -450,14 +466,14 @@ def lift_check(cover: PortGraph, base: PortGraph, projection: dict[int, int],
     cover_run = run_agent(cover, fresh(), cover_start, move_budget,
                           record=True)
     first: int | None = None
-    upto = min(len(base_run.steps), len(cover_run.steps))
-    for i in range(upto):
-        sb, sc = base_run.steps[i], cover_run.steps[i]
-        if (sb.action != sc.action or sb.entry != sc.entry
-                or sb.digest != sc.digest
-                or projection[sc.position] != sb.position):
+    # unpacking the records is cheaper than their attributes, and than
+    # whole-list comparisons, which build a sliced copy of every record
+    for i, (pb, eb, ab, db), (pc, ec, ac, dc) in zip(
+            count(), base_run.steps, cover_run.steps):
+        if ab != ac or eb != ec or db != dc or projection[pc] != pb:
             first = i
             break
+    upto = min(len(base_run.steps), len(cover_run.steps))
     ok = (first is None
           and len(base_run.steps) == len(cover_run.steps)
           and base_run.halted == cover_run.halted

@@ -1,10 +1,11 @@
-"""Memory digests: the compact snapshot against a full-rendering oracle.
+"""Memory digests: the cached digest against a full-rendering oracle.
 
-``agent_digest`` hashes ``PhasedAgent.snapshot()``, which carries hashes of
-the agent's large parts instead of the parts themselves: the frame stack as
-a per-depth hash chain whose links are kept from one digest to the next,
-and the intern table, phase log, accepted candidate and configuration as
-one value cached while the table and the log keep their lengths.  The
+``agent_digest`` returns ``PhasedAgent.digest()``, which hashes the
+agent's large parts once and keeps the hashes: the frame stack as a
+per-depth hash chain whose entries are kept from one digest to the next,
+closed at the top frame with its next port, k, the pending descent port
+and one hash over the intern table, phase log, accepted candidate and
+configuration, cached while the table and the log keep their lengths.  The
 oracle below is the digest as it was defined before that: sha256 over the
 repr of the complete state.  Both must induce the same equality relation
 on agent states: step for step, across whole families of runs, whenever
@@ -30,23 +31,51 @@ from binox.explorer import PhasedAgent, agent_digest, explore, run_agent
 from conftest import all_canonical
 
 
-def full_repr_digest(agent: PhasedAgent) -> str:
-    """Reference digest: sha256 over the repr of the agent's whole state."""
+def state_repr(agent: PhasedAgent, key_reprs: list[str] | None = None) -> str:
+    """repr of the agent's whole state.
+
+    The intern table enters as the tuple of its keys.  Given ``key_reprs``,
+    a list this call extends to the reprs of all of the table's keys (keys
+    are immutable and the table is append-only, so a list kept across
+    calls stays valid), the same string is joined from those reprs instead
+    of rendering the whole table again.
+    """
+    table = agent.table
     acc = None
     if agent.accepted is not None:
         acc = (agent.accepted.graph.encoding(), agent.accepted.root)
-    state = (
+    state = [
         agent.k,
         agent.mode,
         agent.walk,
         tuple(h.encoding() for h in agent.hints),
         tuple((f[0], f[1], f[2], tuple(f[3]), f[4]) for f in agent.stack),
         agent._descend_port,
-        tuple(agent.table.key(i) for i in range(len(agent.table))),
+        None,  # the table's keys
         tuple(agent.phase_log),
         acc,
-    )
-    return hashlib.sha256(repr(state).encode()).hexdigest()
+    ]
+    if key_reprs is None:
+        state[6] = tuple(table.key(i) for i in range(len(table)))
+        return repr(tuple(state))
+    key_reprs.extend(repr(table.key(i))
+                     for i in range(len(key_reprs), len(table)))
+    fields = [repr(x) for x in state]
+    fields[6] = tuple_repr(key_reprs)
+    return tuple_repr(fields)
+
+
+def tuple_repr(item_reprs: list[str]) -> str:
+    """repr of a tuple, given the reprs of its items."""
+    if len(item_reprs) == 1:
+        return f"({item_reprs[0]},)"
+    return "(" + ", ".join(item_reprs) + ")"
+
+
+def full_repr_digest(agent: PhasedAgent,
+                     key_reprs: list[str] | None = None) -> str:
+    """Reference digest: sha256 over the repr of the agent's whole state."""
+    return hashlib.sha256(state_repr(agent, key_reprs).encode()).hexdigest()
 
 
 class Recorder:
@@ -54,12 +83,13 @@ class Recorder:
 
     def __init__(self, agent: PhasedAgent):
         self.agent = agent
+        self.key_reprs: list[str] = []
         self.old: list[str] = []
         self.new: list[str] = []
 
     def act(self, obs):
         action = self.agent.act(obs)
-        self.old.append(full_repr_digest(self.agent))
+        self.old.append(full_repr_digest(self.agent, self.key_reprs))
         self.new.append(agent_digest(self.agent))
         return action
 
@@ -151,6 +181,44 @@ def test_digests_biject_with_the_oracle():
     assert len(new_of) == len(old_of) > 250_000
 
 
+class ReprChecker:
+    """Drives a PhasedAgent and checks after every step that the cached
+    rendering of its state is the plain one, byte for byte."""
+
+    def __init__(self, **agent_kw):
+        self.agent = PhasedAgent(**agent_kw)
+        self.key_reprs: list[str] = []
+        self.halted = self.candidates = self.one_key = 0
+
+    def act(self, obs):
+        action = self.agent.act(obs)
+        cached = state_repr(self.agent, self.key_reprs).encode()
+        assert cached == state_repr(self.agent).encode()
+        self.halted += self.agent.accepted is not None
+        self.candidates += any(cand is not None
+                               for _, _, cand, _ in self.agent.phase_log)
+        self.one_key += len(self.agent.table) == 1
+        return action
+
+
+@pytest.mark.parametrize("walk", ["full", "nonbacktracking"])
+def test_cached_key_reprs_give_the_oracle_bytes(walk):
+    """A slice of the bijection test's runs, plus runs through a halt and
+    through candidate phase ends."""
+    c4 = graph("c4")
+    runs = [(g, 0, 300, {}) for g in all_canonical(4)[::10]]
+    runs += [(graph(name), 0, 2000, {}) for name in ("k3", "rp2", "tree7")]
+    runs += [(c4, 0, 600, dict(mode="hinted", hints=[c4]))]
+    halted = candidates = one_key = 0
+    for g, start, steps, kw in runs:
+        checker = ReprChecker(walk=walk, **kw)
+        run_agent(g, checker, start, steps)
+        halted += checker.halted
+        candidates += checker.candidates
+        one_key += checker.one_key
+    assert halted and candidates and one_key
+
+
 class Sampler:
     """Drives a PhasedAgent and digests it after seeded irregular gaps.
 
@@ -208,22 +276,25 @@ def test_digests_at_irregular_gaps_equal_every_step_digests(name, walk):
 LABEL = graph("k3").label(0)
 
 
-def hand_built(*frames) -> PhasedAgent:
-    """A phase-1 agent with the given (via, entry, children, next port)
-    frames on its stack, all with one label, and nothing else."""
+def hand_built(*frames, k=1, descend=None) -> PhasedAgent:
+    """An agent at phase k with the given (via, entry, children, next port)
+    frames on its stack, all with one label, the given pending descent
+    port, and nothing else."""
     agent = PhasedAgent()
-    agent.k = 1
+    agent.k, agent._descend_port = k, descend
     agent.stack = [[via, entry, LABEL, list(children), next_port]
                    for via, entry, children, next_port in frames]
     return agent
 
 
 def naive(agent: PhasedAgent, render) -> bytes:
-    """The stack's fields in one stream, labels left out, each rendered
-    alone: no separators, counts or lengths."""
+    """The stack's fields, then k and the descent port, in one stream,
+    labels left out, each rendered alone: no separators, counts or
+    lengths."""
     fields = []
     for via, entry, _, children, next_port in agent.stack:
         fields += [via, entry, *chain.from_iterable(children), next_port]
+    fields += [agent.k, agent._descend_port]
     return b"".join(map(render, fields))
 
 
@@ -243,24 +314,44 @@ def fixed32(x) -> bytes:
     return struct.pack("<I", (-1 if x is None else x) % 2**32)
 
 
+def none_as_nothing(x) -> bytes:
+    return b"" if x is None else str(x).encode()
+
+
 @pytest.mark.parametrize("a,b,render", [
     # one extra child versus a different next port
-    ([(None, None, [(1, 0, 2)], 3)], [(None, None, [], 1023)], decimal),
+    (([(None, None, [(1, 0, 2)], 3)], 1, None),
+     ([(None, None, [], 1023)], 1, None), decimal),
     # a frame boundary moved: the child belongs to the frame below or above
-    ([(None, None, [(1, 0, 2)], 3), (4, 0, [], 1)],
-     [(None, None, [], 1), (0, 2, [(3, 4, 0)], 1)], fixed64),
+    (([(None, None, [(1, 0, 2)], 3), (4, 0, [], 1)], 1, None),
+     ([(None, None, [], 1), (0, 2, [(3, 4, 0)], 1)], 1, None), fixed64),
     # the root's via and entry are None, not port 0
-    ([(None, None, [], 0)], [(0, 0, [], 0)], none_as_zero),
+    (([(None, None, [], 0)], 1, None), ([(0, 0, [], 0)], 1, None),
+     none_as_zero),
     # interned ids above 2**31 that agree in their low 32 bits
-    ([(None, None, [(0, 1, 2**31 + 7)], 1)],
-     [(None, None, [(0, 1, 2**32 + 2**31 + 7)], 1)], fixed32),
-], ids=["extra_child", "frame_boundary", "root_none", "ids_past_2_31"])
+    (([(None, None, [(0, 1, 2**31 + 7)], 1)], 1, None),
+     ([(None, None, [(0, 1, 2**32 + 2**31 + 7)], 1)], 1, None), fixed32),
+    # no pending descent, not a descent through port 0
+    (([(None, None, [], 1)], 1, None), ([(None, None, [], 1)], 1, 0),
+     none_as_zero),
+    # k and the top frame's next port swapped
+    (([(None, None, [], 1)], 11, None), ([(None, None, [], 11)], 1, None),
+     decimal),
+    # an empty stack, as after a halt, against a root frame
+    (([], 1, 0), ([(None, None, [], 1)], 0, None), none_as_nothing),
+], ids=["extra_child", "frame_boundary", "root_none", "ids_past_2_31",
+        "descent_none", "k_next_port_swapped", "empty_stack"])
 def test_states_a_naive_concatenation_confuses_get_distinct_digests(
         a, b, render):
-    assert naive(hand_built(*a), render) == naive(hand_built(*b), render)
-    assert agent_digest(hand_built(*a)) != agent_digest(hand_built(*b))
-    assert full_repr_digest(hand_built(*a)) != full_repr_digest(hand_built(*b))
-    assert agent_digest(hand_built(*a)) == agent_digest(hand_built(*a))
+    """Each side is (frames, k, pending descent port)."""
+    def build(state):
+        frames, k, descend = state
+        return hand_built(*frames, k=k, descend=descend)
+
+    assert naive(build(a), render) == naive(build(b), render)
+    assert agent_digest(build(a)) != agent_digest(build(b))
+    assert full_repr_digest(build(a)) != full_repr_digest(build(b))
+    assert agent_digest(build(a)) == agent_digest(build(a))
 
 
 def test_ids_past_64_bits_raise_instead_of_colliding():

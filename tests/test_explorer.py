@@ -1,10 +1,12 @@
 """The exploring agent, its harness, trace tooling, and trace lifting."""
 
+import dataclasses
+import hashlib
 import re
 
 import pytest
 
-from binox import homotopy
+from binox import explorer, homotopy
 from binox.catalog import graph, vertex_map
 from binox.complexes import is_graph_covering
 from binox.cover import isomorphism, universal_cover
@@ -37,8 +39,9 @@ class Scripted:
         self.seen.append(obs)
         return self.ports.pop(0) if self.ports else None
 
-    def snapshot(self):
-        return (tuple(self.ports), tuple(self.seen))
+    def digest(self):
+        state = (tuple(self.ports), tuple(self.seen))
+        return hashlib.sha256(repr(state).encode()).hexdigest()
 
 
 # -- harness -----------------------------------------------------------------------
@@ -85,6 +88,7 @@ def test_record_levels(p2):
     digs = run_agent(p2, Scripted([0]), record=True).steps
     assert len(digs) == 2
     assert all(re.fullmatch(r"[0-9a-f]{64}", s.digest) for s in digs)
+    assert digs[1] == (1, 0, None, digs[1].digest)  # a plain tuple too
     assert re.fullmatch(r"[0-9a-f]{64}", agent_digest(Scripted([0, 1])))
 
 
@@ -255,10 +259,77 @@ def test_cycle_lift_agrees_step_for_step():
     assert rep.ok
     assert rep.steps_compared == 2001  # final undone decision included
     assert rep.first_divergence is None
+    assert first_divergence_by_steps(rep, f) is None
     assert rep.base_run.moves == rep.cover_run.moves == 2000
     for sb, sc in zip(rep.base_run.steps, rep.cover_run.steps):
         assert f[sc.position] == sb.position
         assert sb.digest == sc.digest
+
+
+class Deviant(PhasedAgent):
+    """A PhasedAgent that deviates once, at decision ``at``: "state"
+    interns a key no terrain has, which changes its digest from there on;
+    "action" takes the other port of a degree-2 vertex, which changes the
+    action there and the positions after it, not that step's digest."""
+
+    def __init__(self, at: int, kind: str, **kw):
+        super().__init__(**kw)
+        self.at, self.kind, self.calls = at, kind, 0
+
+    def act(self, obs):
+        action = super().act(obs)
+        if self.calls == self.at:
+            if self.kind == "state":
+                self.table.intern(("no terrain's label", ()))
+            else:
+                action = 1 - action
+        self.calls += 1
+        return action
+
+
+def first_divergence_by_steps(rep, f):
+    """lift_check's divergence rule, one step at a time."""
+    for i, (sb, sc) in enumerate(zip(rep.base_run.steps,
+                                     rep.cover_run.steps)):
+        if (sb.action != sc.action or sb.entry != sc.entry
+                or sb.digest != sc.digest or f[sc.position] != sb.position):
+            return i
+    return None
+
+
+@pytest.mark.parametrize("at", [0, 1, 777])
+@pytest.mark.parametrize("kind", ["state", "action", "position", "entry"])
+@pytest.mark.parametrize("twin", ["base", "cover"])
+def test_lift_reports_the_first_divergence(monkeypatch, twin, kind, at):
+    """One twin deviates at step ``at``: its agent (see Deviant), or, as
+    no covering allows, its record there alone: the position moves to
+    the next vertex, or the entry port becomes -1."""
+    f, src, dst = vertex_map("c8_to_c4")
+    deviant = ("base", "cover").index(twin)  # lift_check runs base first
+    runs = []
+
+    def twin_run(g, agent, *args, run_agent=explorer.run_agent, **kw):
+        tamper = {"position": lambda s: s._replace(position=(s[0] + 1) % g.n),
+                  "entry": lambda s: s._replace(entry=-1)}.get(kind)
+        if len(runs) == deviant and tamper is None:
+            agent = Deviant(at, kind, walk=agent.walk)
+        run = run_agent(g, agent, *args, **kw)
+        if len(runs) == deviant and tamper is not None:
+            steps = list(run.steps)
+            steps[at] = tamper(steps[at])
+            run = dataclasses.replace(run, steps=tuple(steps))
+        runs.append(run)
+        return run
+
+    monkeypatch.setattr(explorer, "run_agent", twin_run)
+    rep = lift_check(src, dst, f, move_budget=2000)
+    assert len(runs) == 2
+    assert rep.ok is False
+    assert rep.first_divergence == at
+    assert rep.steps_compared == at
+    assert first_divergence_by_steps(rep, f) == at
+    sb, sc = rep.base_run.steps[at], rep.cover_run.steps[at]
+    assert (sb.digest == sc.digest) == (kind != "state")
 
 
 def test_lift_requires_a_covering():
