@@ -17,6 +17,7 @@ or just too large, reported as a verdict rather than an error.
 
 from __future__ import annotations
 
+import mmap
 import operator
 from array import array
 from bisect import bisect_right
@@ -34,6 +35,10 @@ from .homotopy import all_simple_cycles_k_contractible
 # development-idempotence certificate
 _CYCLE_AUDIT_MAX_VERTICES = 8
 
+_FIRST_SLOTS = 64  # first capacity of a development's buffers, in items
+_MAPPED_BYTES = 1 << 18  # a buffer of this size or more is a memory map
+_ITEMSIZE = {code: array(code).itemsize for code in "iq"}
+
 
 @dataclass(frozen=True)
 class CoverResult:
@@ -47,6 +52,27 @@ class CoverResult:
     @property
     def finite(self) -> bool:
         return self.status == "finite"
+
+
+def _slots(code: str, items: int, old=None):
+    """A buffer of ``items`` items of array type ``code``, starting with a
+    copy of ``old``: an array, or from _MAPPED_BYTES on a memoryview of an
+    anonymous memory map.
+
+    A map takes fresh pages, only the pages written become resident, and
+    all of them go back to the system when its last view is dropped.  So a
+    large development costs the same resident memory whatever earlier work
+    left in the heap; buffers grown by realloc in the heap cost whatever
+    holes the allocator happened to leave, which differs from run to run.
+    """
+    size = items * _ITEMSIZE[code]
+    if size < _MAPPED_BYTES:
+        buf = array(code, (0,)) * items
+    else:
+        buf = memoryview(mmap.mmap(-1, size)).cast(code)
+    if old is not None:
+        buf[:len(old)] = old
+    return buf
 
 
 def develop(label, neighbor, root, budget: int, same=operator.eq):
@@ -73,12 +99,19 @@ def develop(label, neighbor, root, budget: int, same=operator.eq):
     raises InconsistentStar.
     Deterministic: lifted vertices are completed in creation order, ports
     in ascending order.
+
+    While it runs, the lift holds each node's index in the star table,
+    and all three live in buffers (``_slots``) that double when full; a
+    closed development is copied out into the types above.
     """
     if budget < 1:
         return None
     code = "i" if budget <= 2**31 else "q"
-    # node -> (deg, back, nn, neighbor at each port, its unset slots)
+    # node -> (deg, back, nn, neighbor at each port, its unset slots, its
+    # index k); table[k] is the same star and nodes[k] its node
     stars: dict = {}
+    table: list = []
+    nodes: list = []
 
     def star(x):
         deg, back, nn = label(x)
@@ -87,7 +120,9 @@ def develop(label, neighbor, root, budget: int, same=operator.eq):
                 raise InconsistentStar(f"node {x}: label ports out of range")
         s = stars[x] = (deg, back, nn,
                         tuple(map(neighbor, repeat(x), range(deg))),
-                        array(code, (-1,) * deg))
+                        array(code, (-1,) * deg), len(table))
+        table.append(s)
+        nodes.append(x)
         return s
 
     def out_of_range(j, port, i):
@@ -96,13 +131,18 @@ def develop(label, neighbor, root, budget: int, same=operator.eq):
             f"while completing lifted {i}"
         )
 
-    lift: list = [root]
-    ladj = array(code, star(root)[4])
-    off = array("q", (0, len(ladj)))
+    blank = star(root)[4]
+    # n lifted vertices using `used` slots
+    n, used = 1, len(blank)
+    lift = _slots(code, min(budget, _FIRST_SLOTS))
+    off = _slots("q", len(lift) + 1)
+    ladj = _slots(code, max(used, _FIRST_SLOTS))
+    lift[0], off[0], off[1] = 0, 0, used
+    ladj[:used] = blank
     i = 0
-    while i < len(lift):
+    while i < n:
         v = lift[i]
-        deg, back, nn, nbrs, _ = stars[v]
+        deg, back, nn, nbrs, _, _ = table[v]
         o = off[i]
         # identifications forced by triangles through existing neighbors
         changed = True
@@ -119,10 +159,11 @@ def develop(label, neighbor, root, budget: int, same=operator.eq):
                     if c < 0:
                         continue
                     want = nbrs[b_port]
-                    if want is not None and not same(lift[c], want):
+                    if want is not None and not same(nodes[lift[c]], want):
                         raise InconsistentStar(
-                            f"lifted {i} over {v}: port {b_port} forced onto "
-                            f"a vertex over {lift[c]}, expected over {want}"
+                            f"lifted {i} over {nodes[v]}: port {b_port} "
+                            f"forced onto a vertex over {nodes[lift[c]]}, "
+                            f"expected over {want}"
                         )
                     bp = back[b_port]
                     if not 0 <= bp < off[c + 1] - off[c]:
@@ -136,19 +177,27 @@ def develop(label, neighbor, root, budget: int, same=operator.eq):
                     ladj[o + b_port] = c
                     ladj[slot] = i
                     changed = True
-        # fresh vertices for genuinely undetermined ports
-        for p, x in enumerate(ladj[o:o + deg]):
-            if x < 0:
+        # fresh vertices for genuinely undetermined ports (of i's slots the
+        # loop writes only port p's, after reading it)
+        for p in range(deg):
+            if ladj[o + p] < 0:
                 w = nbrs[p]
-                j = len(lift)
+                j = n
                 if w is None or j >= budget:
                     return None
-                blank = (stars.get(w) or star(w))[4]
+                _, _, _, _, blank, k = stars.get(w) or star(w)
                 bp = back[p]
-                base = len(ladj)
-                lift.append(w)
-                ladj += blank
-                off.append(len(ladj))
+                base = used
+                used += len(blank)
+                if j == len(lift):
+                    lift = _slots(code, min(budget, 2 * j), lift)
+                    off = _slots("q", len(lift) + 1, off)
+                if used > len(ladj):
+                    ladj = _slots(code, max(used, 2 * len(ladj)), ladj)
+                n += 1
+                lift[j] = k
+                ladj[base:used] = blank
+                off[n] = used
                 if not 0 <= bp < len(blank):
                     raise out_of_range(j, bp, i)
                 ladj[base + bp] = i
@@ -174,12 +223,15 @@ def develop(label, neighbor, root, budget: int, same=operator.eq):
                 ladj[sa] = b
                 ladj[sb] = a
         i += 1
+    lifted = [nodes[k] for k in lift[:n]]
+    offsets, ports = array("q", off[:n + 1]), array(code, ladj[:used])
     # every slot is set once its vertex is completed and the range checks
     # keep writes inside their vertex, so this is the closing invariant
-    if -1 in ladj:
-        idx = bisect_right(off, ladj.index(-1)) - 1
-        raise InconsistentStar(f"lifted {idx} over {lift[idx]} left incomplete")
-    return lift, off, ladj
+    if -1 in ports:
+        idx = bisect_right(offsets, ports.index(-1)) - 1
+        raise InconsistentStar(
+            f"lifted {idx} over {lifted[idx]} left incomplete")
+    return lifted, offsets, ports
 
 
 def lifted_graph(lift: list, off: array, ladj: array, label) -> PortGraph:

@@ -14,12 +14,13 @@ InconsistentStar, one source per check of the flat development; beside
 each, the oracle's outcome is frozen, including where it misses the
 contradiction or is corrupted by it."""
 
+import mmap
 import operator
 import tracemalloc
 
 import pytest
 
-from binox import enumeration
+from binox import cover, enumeration
 from binox.catalog import graph, names
 from binox.cover import develop
 from binox.errors import InconsistentStar
@@ -270,10 +271,15 @@ def test_inconsistent_sources_raise(case):
 # -- memory ----------------------------------------------------------------------
 
 
-def test_flat_development_memory_per_lifted_vertex():
-    """About 28 B per lifted vertex on grid3 (Python 3.11) with the ports
-    in an array('i'); an array('q') took about 39, a list of ports about
-    86, and the dict per vertex before it about 286."""
+def test_flat_development_memory_per_lifted_vertex(monkeypatch):
+    """About 44 B per lifted vertex at the peak on grid3 (Python 3.11),
+    the copy a full buffer doubles into included, with the ports in 32-bit
+    slots and the lift in 32-bit star indices.  Growth by realloc (a list
+    lift, an array('i') of ports) took about 28, an array('q') of ports
+    about 39, a list of ports about 86, and the dict per vertex before it
+    about 286.  tracemalloc does not see memory maps, so every buffer is
+    kept in the heap here."""
+    monkeypatch.setattr(cover, "_MAPPED_BYTES", float("inf"))
     g = graph("grid3")
     for v in g.vertices:
         g.label(v)  # cached on the graph, not charged to the development
@@ -285,3 +291,20 @@ def test_flat_development_memory_per_lifted_vertex():
     finally:
         tracemalloc.stop()
     assert peak / budget <= 60
+
+
+def test_mapped_buffers(monkeypatch):
+    """Developments whose buffers are all memory maps, grown from one item
+    on, agree with the oracle and raise as the heap buffers do."""
+    monkeypatch.setattr(cover, "_MAPPED_BYTES", 1)
+    monkeypatch.setattr(cover, "_FIRST_SLOTS", 1)
+    assert isinstance(cover._slots("i", 1).obj, mmap.mmap)
+    for name in names():
+        g = graph(name)
+        for base in g.vertices:
+            assert_agree(g.label, g.neighbor, base, 500)
+    g = graph("grid3")
+    assert assert_agree(g.label, g.neighbor, 0, 10**4) is None
+    for stars, match, _ in INCONSISTENT.values():
+        with pytest.raises(InconsistentStar, match=match):
+            develop(*source(stars), "R", 50)
