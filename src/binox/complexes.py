@@ -16,6 +16,8 @@ Simplex = tuple[int, ...]  # strictly increasing vertex tuple
 
 SIMPLEX_BUDGET = 10**6  # enumerated cliques per complex
 
+_NOT_SIMPLICIAL = "map is not simplicial; star test undefined"
+
 
 class CliqueComplex:
     """All cliques of a graph, organized for covering checks and moves.
@@ -150,18 +152,25 @@ def is_simplicial_covering(f: dict[int, int], src: CliqueComplex,
     any port-breaking automorphism of the underlying complex passes it.
     """
     _check_total(f, src.graph, dst.graph)
-    # each simplex's image, computed once; dimensions 0-2 by hand
+    # each simplex's image, computed once and checked as it is made, so
+    # a map that is not simplicial stops at its first stray simplex;
+    # dimensions 0-2 by hand
     image: dict[Simplex, Simplex] = {}
-    for dim, simplices in enumerate(src.by_dim):
+    simplices = dst.simplices
+    for dim, by_dim in enumerate(src.by_dim):
         if dim == 0:
-            for s in simplices:
-                image[s] = (f[s[0]],)
+            for s in by_dim:
+                t = image[s] = (f[s[0]],)
+                if t not in simplices:
+                    raise NotSimplicial(_NOT_SIMPLICIAL)
         elif dim == 1:
-            for s in simplices:
+            for s in by_dim:
                 a, b = f[s[0]], f[s[1]]
-                image[s] = (a, b) if a < b else (b, a) if b < a else (a,)
+                t = image[s] = (a, b) if a < b else (b, a) if b < a else (a,)
+                if t not in simplices:
+                    raise NotSimplicial(_NOT_SIMPLICIAL)
         elif dim == 2:
-            for s in simplices:
+            for s in by_dim:
                 a, b, c = f[s[0]], f[s[1]], f[s[2]]
                 if a > b:
                     a, b = b, a
@@ -170,14 +179,16 @@ def is_simplicial_covering(f: dict[int, int], src: CliqueComplex,
                     if a > b:
                         a, b = b, a
                 if a < b:
-                    image[s] = (a, b, c) if b < c else (a, b)
+                    t = image[s] = (a, b, c) if b < c else (a, b)
                 else:
-                    image[s] = (a, c) if b < c else (a,)
+                    t = image[s] = (a, c) if b < c else (a,)
+                if t not in simplices:
+                    raise NotSimplicial(_NOT_SIMPLICIAL)
         else:
-            for s in simplices:
-                image[s] = tuple(sorted({f[v] for v in s}))
-    if not dst.simplices.issuperset(image.values()):
-        raise NotSimplicial("map is not simplicial; star test undefined")
+            for s in by_dim:
+                t = image[s] = tuple(sorted({f[v] for v in s}))
+                if t not in simplices:
+                    raise NotSimplicial(_NOT_SIMPLICIAL)
     # equal sizes and equal sets: the star maps bijectively
     get = image.__getitem__
     for v, star in enumerate(src.star_sets):

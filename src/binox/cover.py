@@ -23,7 +23,6 @@ from array import array
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from itertools import repeat
 
 from .complexes import coverings_agree, is_graph_covering
 from .config import DEFAULT_BUDGETS, Budgets
@@ -56,8 +55,9 @@ class CoverResult:
 
 def _slots(code: str, items: int, old=None):
     """A buffer of ``items`` items of array type ``code``, starting with a
-    copy of ``old``: an array, or from _MAPPED_BYTES on a memoryview of an
-    anonymous memory map.
+    copy of ``old`` and zero past it (``develop`` reads 0 as unset): an
+    array, or from _MAPPED_BYTES on a memoryview of an anonymous memory
+    map.
 
     A map takes fresh pages, only the pages written become resident, and
     all of them go back to the system when its last view is dropped.  So a
@@ -85,30 +85,38 @@ def develop(label, neighbor, root, budget: int, same=operator.eq):
     horizon).  The nodes of a port graph are its vertices, compared
     exactly; a view's nodes are its interned ids, which ``same`` compares
     by label, since ids at different remaining depths are unrelated.
-    Each distinct node's star (degree, back ports, neighbor-neighbor
-    edges and the node at each port) is read once per development and
-    shared by every lifted vertex over it.
+    Each distinct node's star (degree, back ports and neighbor-neighbor
+    edges) is read once per development and shared by every lifted vertex
+    over it.  So is its child record at each port, resolved the first
+    time that port takes a fresh vertex: the index and degree of the
+    neighbor's star and the back port, whose range is checked then.  The
+    source's ``neighbor`` is called only there and for the check of each
+    identification a triangle forces, so a port that a lifted vertex
+    enters by, or that a neighbor-neighbor edge fills, is never asked.
 
     lift[i] is the node under lifted vertex i.  The ports of i are the flat
     slots ladj[off[i] : off[i + 1]] of an array, slot off[i] + p holding
     the lifted neighbor through port p; ``off`` is an array('q') of
-    len(lift) + 1 offsets and an unset slot holds -1 until its port is
-    completed.  Lifted indices stay below the budget, so ``ladj`` is an
-    array('i') of 32-bit slots unless the budget passes 2**31, and an
-    array('q') then.  A port that would index outside its vertex's slots
-    raises InconsistentStar.
+    len(lift) + 1 offsets, and ``ladj`` an array('i') of 32-bit slots
+    while the budget is below 2**31 and an array('q') from there on.  A
+    port that would index outside its vertex's slots raises
+    InconsistentStar.
     Deterministic: lifted vertices are completed in creation order, ports
     in ascending order.
 
     While it runs, the lift holds each node's index in the star table,
-    and all three live in buffers (``_slots``) that double when full; a
-    closed development is copied out into the types above.
+    and all three live in buffers (``_slots``) that double when full.  A
+    slot holds the lifted neighbor plus one, and 0 while unset: the
+    buffers start zero-filled, so a fresh vertex's slots need no writing.
+    Slot values reach the budget, hence the typecode rule above.  A closed
+    development is copied out into the types above, one subtracted from
+    every slot.
     """
     if budget < 1:
         return None
-    code = "i" if budget <= 2**31 else "q"
-    # node -> (deg, back, nn, neighbor at each port, its unset slots, its
-    # index k); table[k] is the same star and nodes[k] its node
+    code = "i" if budget < 2**31 else "q"
+    # node -> (deg, back, nn, child record at each port, its index k);
+    # table[k] is the same star and nodes[k] its node
     stars: dict = {}
     table: list = []
     nodes: list = []
@@ -118,113 +126,130 @@ def develop(label, neighbor, root, budget: int, same=operator.eq):
         for p, q, _, _ in nn:  # own ports index the node's own slots
             if not (0 <= p < deg and 0 <= q < deg):
                 raise InconsistentStar(f"node {x}: label ports out of range")
-        s = stars[x] = (deg, back, nn,
-                        tuple(map(neighbor, repeat(x), range(deg))),
-                        array(code, (-1,) * deg), len(table))
+        s = stars[x] = (deg, back, nn, [None] * deg, len(table))
         table.append(s)
         nodes.append(x)
         return s
 
-    def out_of_range(j, port, i):
+    def out_of_range(j, port, degree, i):
         return InconsistentStar(
-            f"lifted {j} has no port {port} (degree {off[j + 1] - off[j]}) "
+            f"lifted {j} has no port {port} (degree {degree}) "
             f"while completing lifted {i}"
         )
 
-    blank = star(root)[4]
-    # n lifted vertices using `used` slots
-    n, used = 1, len(blank)
-    lift = _slots(code, min(budget, _FIRST_SLOTS))
-    off = _slots("q", len(lift) + 1)
-    ladj = _slots(code, max(used, _FIRST_SLOTS))
-    lift[0], off[0], off[1] = 0, 0, used
-    ladj[:used] = blank
+    # n lifted vertices using `used` slots; lift holds `cap` items (at
+    # most the budget) and ladj `room`
+    n = 1
+    used = star(root)[0]
+    cap = min(budget, _FIRST_SLOTS)
+    room = max(used, _FIRST_SLOTS)
+    lift = _slots(code, cap)
+    off = _slots("q", cap + 1)
+    ladj = _slots(code, room)
+    off[1] = used
     i = 0
     while i < n:
         v = lift[i]
-        deg, back, nn, nbrs, _, _ = table[v]
+        deg, back, nn, kids, _ = table[v]
         o = off[i]
-        # identifications forced by triangles through existing neighbors
-        changed = True
+        me = i + 1
+        # identifications forced by triangles through existing neighbors;
+        # a and c are slot values, lifted index plus one
+        changed = bool(nn)
         while changed:
             changed = False
             for p, q, pq, qp in nn:
                 for a_port, b_port, a_to_b in ((p, q, pq), (q, p, qp)):
                     a = ladj[o + a_port]
-                    if a < 0 or ladj[o + b_port] >= 0:
+                    if not a or ladj[o + b_port]:
                         continue
-                    if not 0 <= a_to_b < off[a + 1] - off[a]:
-                        raise out_of_range(a, a_to_b, i)
-                    c = ladj[off[a] + a_to_b]
-                    if c < 0:
+                    oa = off[a - 1]
+                    if not 0 <= a_to_b < off[a] - oa:
+                        raise out_of_range(a - 1, a_to_b, off[a] - oa, i)
+                    c = ladj[oa + a_to_b]
+                    if not c:
                         continue
-                    want = nbrs[b_port]
-                    if want is not None and not same(nodes[lift[c]], want):
+                    want = neighbor(nodes[v], b_port)
+                    got = nodes[lift[c - 1]]
+                    if want is not None and not same(got, want):
                         raise InconsistentStar(
                             f"lifted {i} over {nodes[v]}: port {b_port} "
-                            f"forced onto a vertex over {nodes[lift[c]]}, "
+                            f"forced onto a vertex over {got}, "
                             f"expected over {want}"
                         )
                     bp = back[b_port]
-                    if not 0 <= bp < off[c + 1] - off[c]:
-                        raise out_of_range(c, bp, i)
-                    slot = off[c] + bp
-                    if ladj[slot] >= 0 and ladj[slot] != i:
+                    oc = off[c - 1]
+                    if not 0 <= bp < off[c] - oc:
+                        raise out_of_range(c - 1, bp, off[c] - oc, i)
+                    slot = oc + bp
+                    if ladj[slot] and ladj[slot] != me:
                         raise InconsistentStar(
-                            f"lifted {c} port {bp} already taken "
+                            f"lifted {c - 1} port {bp} already taken "
                             f"while completing lifted {i}"
                         )
                     ladj[o + b_port] = c
-                    ladj[slot] = i
+                    ladj[slot] = me
                     changed = True
         # fresh vertices for genuinely undetermined ports (of i's slots the
         # loop writes only port p's, after reading it)
         for p in range(deg):
-            if ladj[o + p] < 0:
-                w = nbrs[p]
-                j = n
-                if w is None or j >= budget:
+            if ladj[o + p]:
+                continue
+            if n == cap:  # lift is full, or holds the budget
+                if n >= budget:
                     return None
-                _, _, _, _, blank, k = stars.get(w) or star(w)
+                cap = min(budget, 2 * n)
+                lift = _slots(code, cap, lift)
+                off = _slots("q", cap + 1, off)
+            kid = kids[p]
+            if kid is None:
+                w = neighbor(nodes[v], p)
+                if w is None:
+                    return None
+                s = stars.get(w) or star(w)
                 bp = back[p]
-                base = used
-                used += len(blank)
-                if j == len(lift):
-                    lift = _slots(code, min(budget, 2 * j), lift)
-                    off = _slots("q", len(lift) + 1, off)
-                if used > len(ladj):
-                    ladj = _slots(code, max(used, 2 * len(ladj)), ladj)
-                n += 1
-                lift[j] = k
-                ladj[base:used] = blank
-                off[n] = used
-                if not 0 <= bp < len(blank):
-                    raise out_of_range(j, bp, i)
-                ladj[base + bp] = i
-                ladj[o + p] = j
-        # neighbor-neighbor edges dictated by the label
+                if not 0 <= bp < s[0]:
+                    raise out_of_range(n, bp, s[0], i)
+                kid = kids[p] = (s[4], s[0], bp)
+            k, d, bp = kid
+            base = used
+            used += d
+            if used > room:
+                room = max(used, 2 * room)
+                ladj = _slots(code, room, ladj)
+            lift[n] = k
+            ladj[base + bp] = me
+            n += 1
+            off[n] = used
+            ladj[o + p] = n
+        # neighbor-neighbor edges dictated by the label (every port of i
+        # is set by now)
         for p, q, pq, qp in nn:
             a, b = ladj[o + p], ladj[o + q]
-            if not 0 <= pq < off[a + 1] - off[a]:
-                raise out_of_range(a, pq, i)
-            if not 0 <= qp < off[b + 1] - off[b]:
-                raise out_of_range(b, qp, i)
-            sa, sb = off[a] + pq, off[b] + qp
-            if ladj[sa] >= 0:
+            oa, ob = off[a - 1], off[b - 1]
+            if not 0 <= pq < off[a] - oa:
+                raise out_of_range(a - 1, pq, off[a] - oa, i)
+            if not 0 <= qp < off[b] - ob:
+                raise out_of_range(b - 1, qp, off[b] - ob, i)
+            sa, sb = oa + pq, ob + qp
+            if ladj[sa]:
                 if ladj[sa] != b:
                     raise InconsistentStar(
-                        f"lifted {a} port {pq}: wanted {b}, has {ladj[sa]}"
+                        f"lifted {a - 1} port {pq}: wanted {b - 1}, "
+                        f"has {ladj[sa] - 1}"
                     )
-            elif ladj[sb] >= 0 and ladj[sb] != a:
+            elif ladj[sb] and ladj[sb] != a:
                 raise InconsistentStar(
-                    f"lifted {b} port {qp}: wanted {a}, has {ladj[sb]}"
+                    f"lifted {b - 1} port {qp}: wanted {a - 1}, "
+                    f"has {ladj[sb] - 1}"
                 )
             else:
                 ladj[sa] = b
                 ladj[sb] = a
         i += 1
     lifted = [nodes[k] for k in lift[:n]]
-    offsets, ports = array("q", off[:n + 1]), array(code, ladj[:used])
+    offsets = array("q", off[:n + 1])
+    ports = array(code, map((-1).__add__, ladj[:used]))  # unset: -1
     # every slot is set once its vertex is completed and the range checks
     # keep writes inside their vertex, so this is the closing invariant
     if -1 in ports:

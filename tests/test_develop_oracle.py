@@ -244,11 +244,26 @@ INCONSISTENT = {
          "A": (2, (0, 0), (), ("R", "B")), "B": (1, (0,), (), ("R",))},
         "lifted 2 port 0: wanted 1, has 0",
         (["R", "A", "B"], [{0: 1, 1: 2}, {0: 0, 1: 2}, {0: 1}])),
+    # R's port 0 lands on S's port 1, so the first lifted vertex over S
+    # takes no fresh vertex there; the second, reached through T, does,
+    # and S's port 1 lands on port 5 of R, which has one port (the oracle
+    # gives that lift of R a port 5 and runs out of budget)
+    "back port out of range at a second lift": (
+        {"R": (1, (1,), (), ("S",)), "S": (2, (0, 5), (), ("T", "R")),
+         "T": (2, (0, 0), (), ("S", "S"))},
+        r"lifted 4 has no port 5 \(degree 1\) while completing lifted 3",
+        None),
     # a neighbor-neighbor edge names a port past the node's degree
     "label port out of range": (
         {"R": (1, (0,), ((0, 1, 0, 0),), ("A",)), "A": (1, (0,), (), ("R",))},
         "node R: label ports out of range", "KeyError: 1"),
 }
+
+
+# R's port 1 leads to X, whose label names a port past its degree: a
+# development that stops at R's port 1 never reads X's star
+UNREAD = {"R": (2, (0, 0), (), ("A", "X")), "A": (1, (0,), (), ("R",)),
+          "X": (1, (0,), ((0, 1, 0, 0),), ("R",))}
 
 
 def outcome(label, neighbor):
@@ -268,16 +283,42 @@ def test_inconsistent_sources_raise(case):
     assert outcome(label, neighbor) == oracle
 
 
+@pytest.mark.parametrize("mapped", (False, True))
+def test_budget_and_horizon_stop_before_an_unread_star(monkeypatch, mapped):
+    """Running out of budget or horizon at a port returns None before the
+    star beyond it is read, as the oracle does, with heap buffers and with
+    every buffer a memory map grown from one item."""
+    if mapped:
+        monkeypatch.setattr(cover, "_MAPPED_BYTES", 1)
+        monkeypatch.setattr(cover, "_FIRST_SLOTS", 1)
+    label, neighbor = source(UNREAD)
+    assert assert_agree(label, neighbor, "R", 2) is None  # budget
+    with pytest.raises(InconsistentStar, match="node X: label ports"):
+        develop(label, neighbor, "R", 3)
+    label, neighbor = source({**UNREAD, "R": (2, (0, 0), (), (None, "X"))})
+    assert assert_agree(label, neighbor, "R", 50) is None  # horizon
+
+
+def test_slot_typecode_at_the_32_bit_boundary():
+    """A slot holds a lifted index plus one, which reaches the budget, so
+    32-bit slots last up to a budget of 2**31 - 1."""
+    g = graph("k3")
+    for budget, code in ((2**31 - 1, "i"), (2**31, "q")):
+        lift, _, ladj = assert_agree(g.label, g.neighbor, 0, budget)
+        assert (len(lift), ladj.typecode) == (3, code)
+
+
 # -- memory ----------------------------------------------------------------------
 
 
 def test_flat_development_memory_per_lifted_vertex(monkeypatch):
-    """About 44 B per lifted vertex at the peak on grid3 (Python 3.11),
+    """About 43.5 B per lifted vertex at the peak on grid3 (Python 3.11),
     the copy a full buffer doubles into included, with the ports in 32-bit
-    slots and the lift in 32-bit star indices.  Growth by realloc (a list
-    lift, an array('i') of ports) took about 28, an array('q') of ports
-    about 39, a list of ports about 86, and the dict per vertex before it
-    about 286.  tracemalloc does not see memory maps, so every buffer is
+    slots and the lift in 32-bit star indices; zero-filled slots and one
+    child record per star port left it where the -1-filled slots had it.
+    Growth by realloc (a list lift, an array('i') of ports) took about 28,
+    an array('q') of ports about 39, a list of ports about 86, and the
+    dict per vertex before it about 286.  tracemalloc does not see memory maps, so every buffer is
     kept in the heap here."""
     monkeypatch.setattr(cover, "_MAPPED_BYTES", float("inf"))
     g = graph("grid3")
