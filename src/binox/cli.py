@@ -59,7 +59,8 @@ class _Parser(argparse.ArgumentParser):
 
 def cmd_explore(args: argparse.Namespace) -> int:
     g = load_graph(args.graph)
-    out = explore(g, start=args.start, move_budget=args.max_moves, walk=args.walk)
+    start = _vertex(g, args.start, "--start")
+    out = explore(g, start=start, move_budget=args.max_moves, walk=args.walk)
     cand = out.candidate
     pairs = [
         ("status", out.status),
@@ -187,7 +188,8 @@ def cmd_lift_check(args: argparse.Namespace) -> int:
     cover = load_graph(args.cover)
     base = load_graph(args.base)
     f = load_vertex_map(args.map, cover, base)
-    rep = lift_check(cover, base, f, cover_start=args.cover_start,
+    start = _vertex(cover, args.cover_start, "--cover-start")
+    rep = lift_check(cover, base, f, cover_start=start,
                      move_budget=args.steps, walk=args.walk)
     pairs = [
         ("ok", str(rep.ok).lower()),

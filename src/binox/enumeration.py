@@ -14,8 +14,8 @@ a fresh port reads that node's child.  Views of depth n - 1 determine a
 terrain's universal cover (Norris 1995), so this is the one candidate that
 can pass the halting test.  Hinted mode scans a given list of graphs and
 returns the first (graph, root) whose view equals the target.  Either way
-the candidate is re-folded into a fresh table and compared before it is
-returned.
+a match is decided by one fold into a fresh table holding the target view,
+and the table that folded the view is only read.
 """
 
 from __future__ import annotations
@@ -120,50 +120,41 @@ class Candidate:
     root: int
 
 
-def _root_matches(h: PortGraph, w: int, vk: ViewKey, table: ViewInterner) -> bool:
-    if h.label(w) != vk.root_label:
-        return False
-    if vk.depth >= 1:
-        for p, child_label in enumerate(vk.child_labels):
-            if h.label(h.neighbor(w, p)) != child_label:
-                return False
-    return fold_graph(h, w, vk.depth, table, vk.nonbacktracking) == vk.ident
-
-
-def _verify_match(h: PortGraph, w: int, vk: ViewKey, table: ViewInterner) -> None:
-    """Independent re-fold into a fresh table; guards against id aliasing."""
+def _matcher(vk: ViewKey):
+    """Whether a (graph, root) has the view: the root is folded into a
+    fresh table holding the view, re-interned once, and compared by id."""
     fresh = ViewInterner()
-    expect = reintern(table, vk.ident, fresh)
-    got = fold_graph(h, w, vk.depth, fresh, vk.nonbacktracking)
-    if expect != got:
-        raise KernelFault(
-            f"candidate ({h!r}, root {w}) failed re-verification at depth {vk.depth}"
-        )
+    expect = reintern(vk.table, vk.ident, fresh)
+    return lambda h, w: fold_graph(h, w, vk.depth, fresh,
+                                   vk.nonbacktracking) == expect
 
 
 def find_candidate(vk: ViewKey, k: int, mode: str = "exhaustive",
-                   hints: Iterable[PortGraph] = (), *,
-                   table: ViewInterner) -> Candidate | None:
+                   hints: Iterable[PortGraph] = ()) -> Candidate | None:
     """A (graph, root) with fewer than k vertices matching the view, or None.
 
-    ``vk`` is a folded view key; ``table`` is the interner that folded it.
     Exhaustive mode develops the view's universal cover and returns it
     rooted at its first lifted vertex, or None when the development needs
-    a node past the view's horizon or a k-th lifted vertex.  Hinted mode
-    returns the first match in the hint list.  Either way the returned
-    match has been re-verified structurally.
+    a node past the view's horizon or a k-th lifted vertex; KernelFault
+    when the development's view differs.  Hinted mode returns the first
+    match in the hint list, hints and their roots in order.  Only
+    ``_matcher`` compares views, and it never writes the view's table.
     """
+    if not isinstance(vk, ViewKey):
+        raise TypeError(f"cannot search for {type(vk).__name__}")
     if mode == "hinted":
+        matches = None
         for h in hints:
             if h.n >= k:
                 continue
+            matches = matches or _matcher(vk)
             for w in h.vertices:
-                if _root_matches(h, w, vk, table):
-                    _verify_match(h, w, vk, table)
+                if matches(h, w):
                     return Candidate(h, w)
         return None
     if mode != "exhaustive":
         raise ValueError(f"unknown candidate mode {mode!r}")
+    table = vk.table
 
     def label(x: int) -> Label:
         return table.key(x)[0]
@@ -176,5 +167,8 @@ def find_candidate(vk: ViewKey, k: int, mode: str = "exhaustive",
     if dev is None:
         return None
     h = lifted_graph(*dev, label)
-    _verify_match(h, 0, vk, table)
+    if not _matcher(vk)(h, 0):  # guards against id aliasing
+        raise KernelFault(
+            f"candidate ({h!r}, root 0) failed re-verification at depth {vk.depth}"
+        )
     return Candidate(h, 0)

@@ -233,8 +233,7 @@ class PhasedAgent:
     def _phase_end(self, ident: int) -> bool:
         k = self.k
         vk = view_key(self.table, ident, 2 * k, self.nb)
-        cand = find_candidate(vk, k, mode=self.mode, hints=self.hints,
-                              table=self.table)
+        cand = find_candidate(vk, k, mode=self.mode, hints=self.hints)
         cand_enc = verdict = None
         halted = False
         if cand is not None:

@@ -166,29 +166,20 @@ def _build(loop: Loop, kind: _Kind, positions: list
 _shared_move = cache(Move)
 
 
-def neighbor_moves(loop: Loop, cx: CliqueComplex, insertions: bool = True,
-                   bound: int | None = None) -> list[tuple[Move, Loop]]:
+def neighbor_moves(loop: Loop, cx: CliqueComplex) -> list[tuple[Move, Loop]]:
     """All loops one move away, in a fixed deterministic order: every
     kind's children, kinds in queue order (collapse, delete_backtrack,
     contract_triangle, delete_triangle, insert_backtrack, expand_triangle,
     insert_triangle), each kind's by position.
 
-    insertions=False omits the two pure-insertion kinds (backtrack and
-    whole-triangle insertion), which only ever grow the loop; searches
-    that just need a shrinking witness can skip them for a much smaller
-    branching factor.  Length-preserving rerouting (expand_triangle) is
-    always kept.
-
-    With a bound, only the children whose step counts (e edge, s
-    stationary) keep ``(e + 2) // 3 + s <= bound``, in the same order.
-    That lower bound is fixed per move kind, so whole kinds are skipped.
-    ``_search`` does not call this: it scans a loop's kinds when it
-    expands the loop and builds one kind's children only when the queue
-    reaches them.
+    ``_search`` does not call this: it scans a loop's kinds within its
+    bound when it expands the loop, leaving out the pure insertions where
+    it does not need them, and builds one kind's children only when the
+    queue reaches them.
     """
     e, s = _edge_stationary_counts(loop)
     out: list[tuple[Move, Loop]] = []
-    for kind, positions in _scan(loop, cx, insertions, bound, e, s):
+    for kind, positions in _scan(loop, cx, True, None, e, s):
         out += _build(loop, kind, positions)
     return out
 

@@ -8,16 +8,16 @@ can know after exploring to distance k: vertex identities never appear.
 Walk trees of interesting depth are exponentially large, so a view is only
 ever held folded: the ViewInterner hash-conses subtree shapes into small
 integer ids (per-(vertex, remaining-depth) memo while folding), so a view
-is a (table, id) pair and whole-view equality is an integer comparison.
-Interned ids are only meaningful within one table and at equal remaining
-depth; all code here respects that.
+is a ``ViewKey`` (table, id, depth, walk) and whole-view equality is an
+integer comparison.  Interned ids are only meaningful within one table and
+at equal remaining depth; all code here respects that.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .graphs import Label, PortGraph
+from .graphs import PortGraph
 
 
 class ViewInterner:
@@ -196,22 +196,18 @@ def reintern(src: ViewInterner, ident: int, dst: ViewInterner) -> int:
 
 @dataclass(frozen=True)
 class ViewKey:
-    """A folded view plus the metadata candidate search needs.
+    """A folded view: the depth-``depth`` walk tree (non-backtracking or
+    full) whose shape ``table`` interned as ``ident``.
 
-    ``ident`` is meaningful only together with the table that produced it.
-    ``child_labels`` are the root's depth-1 child labels in port order
-    (empty when depth is 0); they drive cheap candidate prefilters.
+    Candidate search reads the table and never interns into it.
     """
 
+    table: ViewInterner
     ident: int
     depth: int
     nonbacktracking: bool
-    root_label: Label
-    child_labels: tuple[Label, ...] = field(default=())
 
 
 def view_key(table: ViewInterner, ident: int, depth: int,
              nonbacktracking: bool = False) -> ViewKey:
-    lab, children = table.key(ident)
-    child_labels = tuple(table.key(c)[0] for _, _, c in children)
-    return ViewKey(ident, depth, nonbacktracking, lab, child_labels)
+    return ViewKey(table, ident, depth, nonbacktracking)

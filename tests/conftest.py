@@ -130,22 +130,25 @@ def irreversible_moves(g: PortGraph, max_steps: int):
     result has no move back; empty list means reversibility holds.
 
     A move back leads to the parent loop, whose e edge and s stationary
-    steps give it the lower bound h = (e + 2) // 3 + s.  The child's list
-    bounded by h is its unbounded list filtered to the children within h,
-    so it holds the parent exactly when the unbounded list does."""
+    steps give it the lower bound h = (e + 2) // 3 + s.  So only the
+    child's move kinds that keep a loop within h are built, as the
+    contractibility search builds them under the bound h; the others
+    cannot hold the parent."""
     from binox.complexes import clique_complex
-    from binox.homotopy import neighbor_moves
+    from binox.homotopy import (_build, _edge_stationary_counts, _scan,
+                                neighbor_moves)
 
     cx = clique_complex(g)
     bad = []
     for loop in all_closed_walks(g, max_steps):
-        s = sum(a == b for a, b in zip(loop, loop[1:]))
-        h = (len(loop) - 1 - s + 2) // 3 + s
+        e, s = _edge_stationary_counts(loop)
+        h = (e + 2) // 3 + s
         for mv, nxt in neighbor_moves(loop, cx):
             if mv.kind == "collapse":
                 continue
-            if not any(back == loop
-                       for _, back in neighbor_moves(nxt, cx, True, h)):
+            kinds = _scan(nxt, cx, True, h, *_edge_stationary_counts(nxt))
+            if not any(back == loop for kind, positions in kinds
+                       for _, back in _build(nxt, kind, positions)):
                 bad.append((loop, mv, nxt))
     return bad
 

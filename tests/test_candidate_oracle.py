@@ -22,6 +22,12 @@ runs scan graphs on at most 4 vertices and, where none matches, stand in
 the terrain's own universal cover for the first 5-or-more-vertex match:
 a match that deep has the terrain's universal cover, so it is that cover
 when it has one sheet, and otherwise the rule above asks for None.
+
+Hinted mode once compared views the same way, with ``root_matches``: a
+label prefilter, then a fold into the agent's own table.  It now folds
+each hint root into a fresh table, as the development's re-fold check
+does.  The two must pick the same (hint, root) on the same views, and
+no candidate search, in either mode, may change the view's table.
 """
 
 from functools import lru_cache
@@ -31,8 +37,8 @@ import pytest
 from binox import explorer
 from binox.catalog import graph, names
 from binox.cover import isomorphism, universal_cover
-from binox.enumeration import (Candidate, _root_matches, _verify_match,
-                               edge_sets, find_candidate, port_assignments)
+from binox.enumeration import (Candidate, edge_sets, find_candidate,
+                               port_assignments)
 from binox.errors import KernelFault
 from binox.explorer import PhasedAgent, run_agent
 from binox.graphs import PortGraph
@@ -62,11 +68,28 @@ def profile_admits(n, eset, root_deg, child_degs):
                for v in range(n))
 
 
-def raw_scan(vk, k, table, max_n=None):
+def root_matches(h, w, vk, table):
+    """The earlier view comparison: w must carry the label of the view's
+    root and, port by port, the labels of its children; then w's view is
+    folded into ``table``, which holds the view under ``vk.ident``, and
+    the ids are compared."""
+    lab, children = table.key(vk.ident)
+    if h.label(w) != lab:
+        return False
+    if vk.depth >= 1:
+        for p, (_, _, c) in enumerate(children):
+            if h.label(h.neighbor(w, p)) != table.key(c)[0]:
+                return False
+    return fold_graph(h, w, vk.depth, table, vk.nonbacktracking) == vk.ident
+
+
+def raw_scan(vk, k, max_n=None):
     """First (graph, root) on fewer than k (and at most max_n) vertices in
-    the raw stream whose view equals the target, re-verified."""
-    root_deg = vk.root_label[0]
-    child_degs = tuple(sorted(lab[0] for lab in vk.child_labels))
+    the raw stream whose view equals the target.  As the earlier branch
+    did, it folds the roots it tries into the view's own table."""
+    lab, children = vk.table.key(vk.ident)
+    root_deg = lab[0]
+    child_degs = tuple(sorted(vk.table.key(c)[0][0] for _, _, c in children))
     top = k if max_n is None else min(k, max_n + 1)
     for n in range(1, top):
         for eset in edge_sets(n):
@@ -75,8 +98,7 @@ def raw_scan(vk, k, table, max_n=None):
                 continue
             for h in port_assignments(n, eset):
                 for w in range(n):
-                    if _root_matches(h, w, vk, table):
-                        _verify_match(h, w, vk, table)
+                    if root_matches(h, w, vk, vk.table):
                         return Candidate(h, w)
     return None
 
@@ -112,8 +134,8 @@ def test_phase_ends_on_small_graphs(walk):
                 table = ViewInterner()
                 vk = view_key(table, fold_graph(g, v, 2 * k, table, nb),
                               2 * k, nb)
-                new = find_candidate(vk, k, table=table)
-                old = raw_scan(vk, k, table)
+                new = find_candidate(vk, k)
+                old = raw_scan(vk, k)
                 where = (g.encoding(), v, walk, k)
                 assert_rule(new and new.graph, old and old.graph, where)
                 if new is not None:
@@ -132,7 +154,7 @@ def test_shallow_views_stop_at_the_horizon(k3, c4):
     def search(g, depth, k):
         table = ViewInterner()
         vk = view_key(table, fold_graph(g, 0, depth, table), depth)
-        return find_candidate(vk, k, table=table), raw_scan(vk, k, table)
+        return find_candidate(vk, k), raw_scan(vk, k)
 
     for g, depth in ((k3, 0), (graph("p3"), 1), (c4, 0), (c4, 1)):
         new, old = search(g, depth, 9)
@@ -156,7 +178,7 @@ def test_refold_rejects_a_forged_view(k3):
         (child_lab, ((p, q, forged),) + grandchildren[1:])))
     vk = view_key(table, table.intern((lab, (first, second))), 2)
     with pytest.raises(KernelFault, match="re-verification"):
-        find_candidate(vk, 4, table=table)
+        find_candidate(vk, 4)
 
 
 # -- whole runs ------------------------------------------------------------------
@@ -166,9 +188,9 @@ def oracle_find(terrain, start):
     """find_candidate for the oracle agent: the raw scan on graphs of up to
     4 vertices, and past phase RAW_LIMIT the terrain's universal cover
     where no such graph matches (see the module docstring)."""
-    def find(vk, k, mode="exhaustive", hints=(), *, table):
+    def find(vk, k, mode="exhaustive", hints=()):
         assert mode == "exhaustive"
-        got = raw_scan(vk, k, table, max_n=RAW_LIMIT - 1)
+        got = raw_scan(vk, k, max_n=RAW_LIMIT - 1)
         if got is not None or k <= RAW_LIMIT:
             return got
         res = universal_cover(terrain, start, verify=False)
@@ -219,3 +241,61 @@ def test_runs_on_catalog_terrains(name, monkeypatch):
     g = graph(name)
     for start in sorted({0, g.n - 1}):
         assert_same_runs(g, start, monkeypatch)
+
+
+# -- hinted mode ---------------------------------------------------------------
+
+
+def old_hinted(vk, k, hints):
+    """The earlier hinted branch of ``find_candidate``, folding into a copy
+    of the view's table."""
+    table = ViewInterner()
+    for i in range(len(vk.table)):
+        table.intern(vk.table.key(i))
+    for h in hints:
+        if h.n < k:
+            for w in h.vertices:
+                if root_matches(h, w, vk, table):
+                    return Candidate(h, w)
+    return None
+
+
+def assert_same_hint_matches(g, v, hints):
+    """On g's views from v, both walks, k = 1..RAW_LIMIT at depth 2k: the
+    hinted search picks the old matcher's (hint, root), and neither
+    candidate search writes the view's table."""
+    matched = 0
+    for nb in (False, True):
+        for k in range(1, RAW_LIMIT + 1):
+            table = ViewInterner()
+            vk = view_key(table, fold_graph(g, v, 2 * k, table, nb), 2 * k, nb)
+            keys = [table.key(i) for i in range(len(table))]
+            where = (g.encoding(), v, nb, k)
+            want = old_hinted(vk, k, hints)
+            got = find_candidate(vk, k, "hinted", hints)
+            assert (got and (got.graph.encoding(), got.root)) \
+                == (want and (want.graph.encoding(), want.root)), where
+            assert [table.key(i) for i in range(len(table))] == keys, where
+            find_candidate(vk, k)
+            assert [table.key(i) for i in range(len(table))] == keys, where
+            matched += got is not None
+    return matched
+
+
+def test_hint_matches_on_small_graphs():
+    small = all_canonical(3)
+    assert len(small) == 5
+    calls = matched = 0
+    for g in all_canonical(4):
+        for v in g.vertices:
+            matched += assert_same_hint_matches(g, v, small + (g,))
+            calls += 2 * RAW_LIMIT
+    assert calls == 4880
+    assert matched > 100
+
+
+def test_hint_matches_on_catalog_terrains():
+    terrains = tuple(graph(name) for name in names())
+    for g in terrains:
+        for v in sorted({0, g.n - 1}):
+            assert_same_hint_matches(g, v, terrains)

@@ -375,6 +375,8 @@ def test_malformed_graph_reports_line(capsys, tmp_path):
     ("contract", g("k3"), "--loop", "0,1,2,0", "--k", "3",
      "--search-budget", "-1"),
     ("explore", g("p2"), "--max-moves", "-1"),
+    ("explore", g("p2"), "--start", "5"),
+    ("lift-check", g("c8"), g("c4"), m("c8-to-c4"), "--cover-start", "9"),
     ("lift-check", g("c8"), g("c4"), m("c8-to-c4"), "--steps", "-1"),
     ("enumerate", "--n-max", "-1"),
     # rejected by the parser itself

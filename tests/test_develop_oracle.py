@@ -164,8 +164,7 @@ def test_view_sources_of_find_candidate(monkeypatch):
                     table = ViewInterner()
                     vk = view_key(table, fold_graph(g, v, 2 * k, table, nb),
                                   2 * k, nb)
-                    found += enumeration.find_candidate(
-                        vk, k, table=table) is not None
+                    found += enumeration.find_candidate(vk, k) is not None
     assert len(calls) > 1000 and found > 100
 
 

@@ -117,7 +117,7 @@ def search(g, v, depth, k, **kw):
     """find_candidate on g's depth-``depth`` view at v, folded in a fresh table."""
     table = ViewInterner()
     vk = view_key(table, fold_graph(g, v, depth, table), depth)
-    return find_candidate(vk, k, table=table, **kw)
+    return find_candidate(vk, k, **kw)
 
 
 def test_triangle_found_at_phase_four(k3):
@@ -162,13 +162,16 @@ def test_hinted_search_scans_hints_only(k3, k4):
 
 
 def test_view_key_target_with_its_table(p2):
+    """The view key carries the table that folded it; candidate search
+    takes no other."""
     table = ViewInterner()
     ident = fold_graph(p2, 0, 3, table)
     vk = view_key(table, ident, 3)
-    got = find_candidate(vk, 3, table=table)
+    assert (vk.table, vk.ident, vk.depth) == (table, ident, 3)
+    got = find_candidate(vk, 3)
     assert got is not None and got.graph.n == 2
-    with pytest.raises(TypeError):  # the table is required
-        find_candidate(vk, 3)
+    with pytest.raises(TypeError):
+        find_candidate(vk, 3, table=table)
 
 
 def test_bad_targets_and_modes_rejected(k3):

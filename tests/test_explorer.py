@@ -15,7 +15,7 @@ from binox.errors import InvalidMove, NotACovering
 from binox.explorer import (PhasedAgent, agent_digest, explore, lift_check,
                             reconstructed_projection, run_agent)
 
-from conftest import relabel, walk_ports
+from conftest import all_canonical, relabel, walk_ports
 
 # (terrain, halting phase, total moves); frozen from verified runs
 HALTING_RUNS = (
@@ -156,6 +156,20 @@ def test_hinted_mode_changes_only_computation(k3):
 def test_hinted_mode_without_usable_hints_never_halts(k3):
     out = explore(k3, mode="hinted", hints=[], move_budget=3000)
     assert out.status == "budget_exhausted"
+
+
+@pytest.mark.parametrize("walk", ["full", "nonbacktracking"])
+def test_hints_leave_the_table_to_observations(walk):
+    """A hint is compared with the view without entering the agent's
+    table: a 4-vertex hint never matches p3's views, and the run ends with
+    the table of a run given no hints."""
+    def table(hints):
+        out = explore(graph("p3"), mode="hinted", hints=hints,
+                      move_budget=20000, walk=walk)
+        assert out.status == "budget_exhausted"
+        return [out.agent.table.key(i) for i in range(len(out.agent.table))]
+
+    assert table([all_canonical(4)[7]]) == table(())
 
 
 def test_halting_test_budget_is_a_distinct_phase_verdict(k3, monkeypatch):

@@ -256,7 +256,7 @@ def icosahedron_candidate(k):
     non-backtracking view of depth 2k at vertex 0."""
     table = ViewInterner()
     ident = fold_graph(graph("icosahedron"), 0, 2 * k, table, True)
-    return find_candidate(view_key(table, ident, 2 * k, True), k, table=table)
+    return find_candidate(view_key(table, ident, 2 * k, True), k)
 
 
 def test_icosahedron_first_candidate_is_at_phase_13():

@@ -198,7 +198,7 @@ def test_exhausted_search_says_what_was_capped():
     exc = info.value
     # counted at the first expansion: the start and its 57 children
     # within the bound, all of neighbor_moves' list
-    assert len(neighbor_moves((0, 1, 2, 0), cx, True, 19)) == 57
+    assert len(neighbor_moves((0, 1, 2, 0), cx)) == 57
     assert (exc.what, exc.cap, exc.reached) == ("search states", 5, 58)
     assert str(exc) == ("contractibility search passed 5 states "
                         "(loop length 3, bound 20)")

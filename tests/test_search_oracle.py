@@ -13,11 +13,11 @@ every child within the bound against the state cap.  A second check
 runs the oracle with the count it used before, the distinct loops held,
 and shows that the new count only ever stops a search earlier.
 
-``_search`` scans only the kinds within its remaining bound.  The
-unbounded move list is checked against a scanning oracle that reads the
-graph and the simplex set instead of the complex's move tables, and the
-bounded list against the unbounded one, filtered by each child's own
-rescanned step counts.
+``_search`` scans only the kinds within its remaining bound.  The move
+list is checked against a scanning oracle that reads the graph and the
+simplex set instead of the complex's move tables, and what ``_search``
+builds under each bound against that list, filtered by kind name and by
+each child's own rescanned step counts.
 
 In a triangle-free complex both searches leave out backtrack insertions;
 a check with the oracle keeping them shows they never shorten a
@@ -52,6 +52,8 @@ SAMPLE_VERDICT_BOUNDS = (2, 3, 4)  # exhaustive negatives within the cap
 SMALL_CAPS = range(1, 51)  # state caps of the searches on small graphs
 # expansions (_scan calls) of the exact rp2 open-lift negatives, by bound
 EXACT_NEGATIVE_CALLS = {5: 2853, 6: 12727}
+# the kinds that only ever grow the loop, left out by name
+PURE_INSERTIONS = ("insert_backtrack", "insert_triangle")
 
 
 def rescanning_heuristic(loop):
@@ -97,7 +99,9 @@ def rescanning_search(loop, cx, k, budgets, want_path, weight=1,
                 node = prev
             path.reverse()
             return True, path
-        for mv, nxt in H.neighbor_moves(cur, cx, insertions):
+        for mv, nxt in H.neighbor_moves(cur, cx):
+            if not insertions and mv.kind in PURE_INSERTIONS:
+                continue
             ng = gc + 1
             nh = rescanning_heuristic(nxt)
             if ng + nh > k:
@@ -146,7 +150,7 @@ class CheckedScan:
         assert H._edge_stationary_counts(loop) == (e, s), loop
         for kind, positions in out:
             assert positions and (insertions or kind.name not in
-                                  H._PURE_INSERTIONS), (loop, kind)
+                                  PURE_INSERTIONS), (loop, kind)
             for mv, nxt in H._build(loop, kind, positions):
                 assert mv.kind == kind.name
                 assert H._edge_stationary_counts(nxt) \
@@ -218,7 +222,7 @@ def assert_same_searches(moves, loop, cx, k, budgets):
         == searched(moves, loop, cx, k, budgets, greedy=True), loop
 
 
-def scanning_moves(loop, cx, insertions):
+def scanning_moves(loop, cx):
     """``neighbor_moves`` as it was before the complex carried move tables:
     every condition tested on the graph and the simplex set, one position
     at a time."""
@@ -249,46 +253,48 @@ def scanning_moves(loop, cx, insertions):
                 and y in thirds(a, x)):
             out.append((H.Move("delete_triangle", i, (x, y)),
                         loop[:i + 1] + loop[i + 4:]))
-    if insertions:
-        for i in range(m + 1):
-            a = loop[i]
-            for w in g.neighbors(a):
-                out.append((H.Move("insert_backtrack", i, (w,)),
-                            loop[:i + 1] + (w, a) + loop[i + 1:]))
+    for i in range(m + 1):
+        a = loop[i]
+        for w in g.neighbors(a):
+            out.append((H.Move("insert_backtrack", i, (w,)),
+                        loop[:i + 1] + (w, a) + loop[i + 1:]))
     for i in range(m):
         a, b = loop[i], loop[i + 1]
         if a != b:
             for w in thirds(a, b):
                 out.append((H.Move("expand_triangle", i, (w,)),
                             loop[:i + 1] + (w,) + loop[i + 1:]))
-    if insertions:
-        for i in range(m + 1):
-            a = loop[i]
-            for s in sorted(s for s in cx.simplices
-                            if len(s) == 3 and a in s):
-                x, y = (z for z in s if z != a)
-                for first, second in ((x, y), (y, x)):
-                    out.append((H.Move("insert_triangle", i, (first, second)),
-                                loop[:i + 1] + (first, second, a)
-                                + loop[i + 1:]))
+    for i in range(m + 1):
+        a = loop[i]
+        for s in sorted(s for s in cx.simplices if len(s) == 3 and a in s):
+            x, y = (z for z in s if z != a)
+            for first, second in ((x, y), (y, x)):
+                out.append((H.Move("insert_triangle", i, (first, second)),
+                            loop[:i + 1] + (first, second, a)
+                            + loop[i + 1:]))
     return out
 
 
 def assert_same_moves(loop, cx):
-    """For both insertions values, the unbounded list equals the scanning
-    oracle's, and for every bound from -1 up to the largest child's, the
-    bounded list is the unbounded one filtered to the children within the
-    bound, in the same order."""
+    """The move list equals the scanning oracle's.  For both insertions
+    values and every bound from -1 up to the largest child's, what
+    ``_search`` builds (``_scan``, then ``_build`` per kind) is that list
+    without the pure insertions when they are left out, filtered to the
+    children within the bound, in the same order."""
+    every = H.neighbor_moves(loop, cx)
+    assert every == scanning_moves(loop, cx), loop
+    assert all(type(mv) is H.Move for mv, _ in every)
+    e, s = H._edge_stationary_counts(loop)
     for insertions in (True, False):
-        every = H.neighbor_moves(loop, cx, insertions)
-        assert every == scanning_moves(loop, cx, insertions), \
-            (loop, insertions)
-        assert all(type(mv) is H.Move for mv, _ in every)
-        lows = [rescanning_heuristic(nxt) for _, nxt in every]
+        kept = [c for c in every
+                if insertions or c[0].kind not in PURE_INSERTIONS]
+        lows = [rescanning_heuristic(nxt) for _, nxt in kept]
         for bound in range(-1, max(lows, default=0) + 1):
-            want = [c for c, low in zip(every, lows) if low <= bound]
-            assert H.neighbor_moves(loop, cx, insertions, bound) == want, \
-                (loop, insertions, bound)
+            want = [c for c, low in zip(kept, lows) if low <= bound]
+            got = [c for kind, positions
+                   in H._scan(loop, cx, insertions, bound, e, s)
+                   for c in H._build(loop, kind, positions)]
+            assert got == want, (loop, insertions, bound)
 
 
 def shape(g):

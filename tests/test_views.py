@@ -1,5 +1,7 @@
 """Views, view equality, folds, and their serialization."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 
@@ -169,13 +171,16 @@ def test_reintern_round_trip(k3):
     assert reintern(t2, reintern(t1, a, t2), t1) == a
 
 
-def test_view_key_carries_root_and_child_labels(k3):
+def test_view_key_is_the_folded_view(k3):
+    """A view key is (table, ident, depth, walk) and nothing else."""
     table = ViewInterner()
-    ident = fold_graph(k3, 0, 2, table)
-    key = view_key(table, ident, 2)
-    assert key.depth == 2
-    assert key.root_label == k3.label(0)
-    assert key.child_labels == (k3.label(1), k3.label(2))
+    ident = fold_graph(k3, 0, 2, table, True)
+    key = view_key(table, ident, 2, True)
+    assert [f.name for f in dataclasses.fields(key)] \
+        == ["table", "ident", "depth", "nonbacktracking"]
+    assert (key.table, key.ident, key.depth, key.nonbacktracking) \
+        == (table, ident, 2, True)
+    assert not view_key(table, ident, 2).nonbacktracking
 
 
 def recursive_fold(g, v, depth, table, nonbacktracking=False):
