@@ -34,6 +34,10 @@ class CliqueComplex:
     * ``back_steps[v]``: ``(w,)`` for each neighbor w of v, in port order;
     * ``thirds[u, v]``: ``(w,)`` for each triangle {u, v, w}, w ascending,
       under both orders of (u, v); edges on no triangle have no key;
+    * ``third_counts[u, v]``: the number of triangles on each step (u, v)
+      a walk can take, ``len(thirds[u, v])`` for an edge in either order,
+      0 for an edge on no triangle and for a stationary step (v, v), so
+      a loop's expand_triangle children are counted without listing them;
     * ``triangle_pairs[v]``: ``(x, y)`` then ``(y, x)`` for each triangle
       {v, x, y} with x < y, triangles ascending;
     * ``backtracks``: every walk (u, w, u) along an edge;
@@ -43,8 +47,9 @@ class CliqueComplex:
     """
 
     __slots__ = ("graph", "simplices", "dimension", "by_dim", "star_sets",
-                 "edge_ports", "back_steps", "thirds", "triangle_pairs",
-                 "backtracks", "triangle_paths", "triangle_circuits")
+                 "edge_ports", "back_steps", "thirds", "third_counts",
+                 "triangle_pairs", "backtracks", "triangle_paths",
+                 "triangle_circuits")
 
     def __init__(self, graph: PortGraph, simplices: frozenset[Simplex]):
         self.graph = graph
@@ -72,6 +77,9 @@ class CliqueComplex:
                 thirds.setdefault((v, u), []).append((w,))
                 pairs[w] += ((u, v), (v, u))
         self.thirds = {uv: tuple(ws) for uv, ws in thirds.items()}
+        self.third_counts = {(u, v): len(thirds.get((u, v), ()))
+                             for u in graph.vertices
+                             for v in (u, *graph.neighbors(u))}
         self.triangle_pairs = tuple(map(tuple, pairs))
         self.triangle_paths = frozenset(
             (u, w, v) for (u, v), ws in thirds.items() for (w,) in ws)

@@ -21,7 +21,7 @@ and the table that folded the view is only read.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import combinations, permutations, product
 from typing import Iterable, Iterator, Sequence
 
@@ -129,6 +129,19 @@ def _matcher(vk: ViewKey):
                                    vk.nonbacktracking) == expect
 
 
+def _view_child(table: ViewInterner, x: int, p: int) -> int | None:
+    """The child of view node x at port p; None past the horizon (a leaf
+    has no children) and at the entry port a non-backtracking node skips.
+    A node's children come in port order with at most that one port left
+    out, so port p sits at index p or p - 1."""
+    children = table.key(x)[1]
+    if p < len(children) and children[p][0] == p:
+        return children[p][2]
+    if 0 < p <= len(children) and children[p - 1][0] == p:
+        return children[p - 1][2]
+    return None
+
+
 def find_candidate(vk: ViewKey, k: int, mode: str = "exhaustive",
                    hints: Iterable[PortGraph] = ()) -> Candidate | None:
     """A (graph, root) with fewer than k vertices matching the view, or None.
@@ -159,10 +172,7 @@ def find_candidate(vk: ViewKey, k: int, mode: str = "exhaustive",
     def label(x: int) -> Label:
         return table.key(x)[0]
 
-    def child(x: int, p: int) -> int | None:  # None past the horizon
-        return next((c for q, _, c in table.key(x)[1] if q == p), None)
-
-    dev = develop(label, child, vk.ident, k - 1,
+    dev = develop(label, partial(_view_child, table), vk.ident, k - 1,
                   lambda x, y: label(x) == label(y))
     if dev is None:
         return None

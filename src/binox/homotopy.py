@@ -48,6 +48,8 @@ class Move(NamedTuple):
 #
 # A kind's scan lists its positions in a loop: an index i for the removing
 # kinds, a pair (i, inserted) for the inserting ones, one per child.
+# expand_triangle's scan only counts them, since most scanned children are
+# never built; its lister lists them when they are.
 
 
 def _collapses(loop: Loop, cx: CliqueComplex) -> list:  # (a, a) -> (a,)
@@ -80,6 +82,11 @@ def _backtrack_insertions(loop: Loop, cx: CliqueComplex) -> list:
     return [(i, w) for i, a in enumerate(loop) for w in steps[a]]
 
 
+def _triangle_expansion_count(loop: Loop, cx: CliqueComplex) -> int:
+    # (a, b) -> (a, w, b), counted per step
+    return sum(map(cx.third_counts.__getitem__, zip(loop, loop[1:])))
+
+
 def _triangle_expansions(loop: Loop, cx: CliqueComplex) -> list:
     # (a, b) -> (a, w, b)
     thirds = cx.thirds
@@ -97,14 +104,17 @@ class _Kind(NamedTuple):
     """A move kind.  Its child at position i is
     ``loop[:i + 1] + inserted + loop[i + cut:]``.  A removing kind inserts
     nothing and its Move.data is ``loop[i + 1:i + 1 + recorded]``; an
-    inserting kind (``recorded`` None) records what it inserts."""
+    inserting kind (``recorded`` None) records what it inserts.  ``scan``
+    gives the positions, or for a kind with a ``lister`` only their count,
+    and the lister then lists them."""
 
     name: str
     de: int  # edge steps a move adds to its loop
     ds: int  # stationary steps a move adds to its loop
     cut: int
     recorded: int | None
-    scan: Callable[[Loop, CliqueComplex], list]
+    scan: Callable[[Loop, CliqueComplex], list | int]
+    lister: Callable[[Loop, CliqueComplex], list] | None = None
 
 
 # in queue order; a child's step counts are its parent's plus (de, ds)
@@ -114,7 +124,8 @@ _KINDS = (
     _Kind("contract_triangle", -1, 0, 2, 1, _triangle_contractions),
     _Kind("delete_triangle", -3, 0, 4, 2, _triangle_deletions),
     _Kind("insert_backtrack", 2, 0, 0, None, _backtrack_insertions),
-    _Kind("expand_triangle", 1, 0, 1, None, _triangle_expansions),
+    _Kind("expand_triangle", 1, 0, 1, None, _triangle_expansion_count,
+          _triangle_expansions),
     _Kind("insert_triangle", 3, 0, 0, None, _triangle_insertions),
 )
 
@@ -138,27 +149,36 @@ def _kinds_within(slack: int | None, insertions: bool,
 
 
 def _scan(loop: Loop, cx: CliqueComplex, insertions: bool, bound: int | None,
-          e: int, s: int) -> list[tuple[_Kind, list]]:
-    """(kind, positions) for each kind that has a move in the loop and
-    keeps its children within the bound, in queue order; e and s are the
+          e: int, s: int) -> list[tuple[_Kind, list | int]]:
+    """(kind, found) for each kind that has a move in the loop and keeps
+    its children within the bound, in queue order, found being what the
+    kind's scan gives: its positions, or their count.  e and s are the
     loop's edge and stationary step counts.  No child loop is built."""
     slack = None if bound is None else 3 * (bound - s) - e
-    return [(kind, positions)
+    return [(kind, found)
             for kind in _kinds_within(slack, insertions, s > 0)
-            if (positions := kind.scan(loop, cx))]
+            if (found := kind.scan(loop, cx))]
 
 
-def _build(loop: Loop, kind: _Kind, positions: list
-           ) -> list[tuple[Move, Loop]]:
-    """The (move, child) pairs of one kind at its scanned positions."""
-    new = tuple.__new__  # a Move without NamedTuple's Python-level __new__
-    name, cut, recorded = kind.name, kind.cut, kind.recorded
-    if recorded is None:
-        return [(new(Move, (name, i, ins)), loop[:i + 1] + ins + loop[i + cut:])
-                for i, ins in positions]
-    return [(new(Move, (name, i, loop[i + 1:i + 1 + recorded])),
-             loop[:i + 1] + loop[i + cut:])
-            for i in positions]
+def _positions(loop: Loop, cx: CliqueComplex, kind: _Kind,
+               found: list | int) -> list:
+    """A scanned kind's positions, listed now if its scan only counted."""
+    return found if kind.lister is None else kind.lister(loop, cx)
+
+
+def _build(loop: Loop, kind: _Kind, positions: list) -> list[Loop]:
+    """The children of one kind at its positions, in their order."""
+    cut = kind.cut
+    if kind.recorded is None:
+        return [loop[:i + 1] + ins + loop[i + cut:] for i, ins in positions]
+    return [loop[:i + 1] + loop[i + cut:] for i in positions]
+
+
+def _move(loop: Loop, kind: _Kind, position) -> tuple[str, int, Loop]:
+    """The (kind, index, data) fields of the kind's move at a position."""
+    if kind.recorded is None:
+        return (kind.name, *position)
+    return kind.name, position, loop[position + 1:position + 1 + kind.recorded]
 
 
 # Returned paths share one Move per distinct (kind, index, data), so callers
@@ -167,20 +187,25 @@ _shared_move = cache(Move)
 
 
 def neighbor_moves(loop: Loop, cx: CliqueComplex) -> list[tuple[Move, Loop]]:
-    """All loops one move away, in a fixed deterministic order: every
-    kind's children, kinds in queue order (collapse, delete_backtrack,
-    contract_triangle, delete_triangle, insert_backtrack, expand_triangle,
-    insert_triangle), each kind's by position.
+    """All (move, loop one move away) pairs, in a fixed deterministic
+    order: every kind's children, kinds in queue order (collapse,
+    delete_backtrack, contract_triangle, delete_triangle,
+    insert_backtrack, expand_triangle, insert_triangle), each kind's by
+    position.
 
-    ``_search`` does not call this: it scans a loop's kinds within its
-    bound when it expands the loop, leaving out the pure insertions where
-    it does not need them, and builds one kind's children only when the
-    queue reaches them.
+    ``_search`` does not call this but expands a loop from the same scan:
+    it scans the kinds within its bound, leaving out the pure insertions
+    where it does not need them, and builds one kind's children only when
+    the queue reaches them.  It lists expand_triangle's positions only
+    then, and forms a Move only for the steps of a path it returns.
     """
     e, s = _edge_stationary_counts(loop)
+    new = tuple.__new__  # a Move without NamedTuple's Python-level __new__
     out: list[tuple[Move, Loop]] = []
-    for kind, positions in _scan(loop, cx, True, None, e, s):
-        out += _build(loop, kind, positions)
+    for kind, found in _scan(loop, cx, True, None, e, s):
+        positions = _positions(loop, cx, kind, found)
+        out += zip([new(Move, _move(loop, kind, p)) for p in positions],
+                   _build(loop, kind, positions))
     return out
 
 
@@ -249,12 +274,17 @@ def _search(loop: Loop, cx: CliqueComplex, k: int, budgets: Budgets,
     key, so expanding a loop only scans it and queues one entry per kind
     within the bound; that kind's children are built, deduplicated and
     queued when its entry is popped, under the entry's key and tie in
-    scan order.  The loops expanded, their order, the verdict and the
-    path are those of building every child at expansion.  The state
-    cap counts, at each expansion, every child within the bound, repeats
-    included (plus the start loop), since unbuilt children cannot be
-    told apart; that is never fewer than the distinct loops an eager
-    search would hold, so a capped search stops no later than it would.
+    scan order.  expand_triangle, whose children are the most numerous
+    and the least often built, is only counted at expansion, and its
+    positions are listed on pop.  Children are built without their
+    Moves: each records its parent, kind and position, and a Move is
+    formed only for the steps of the returned path.  The loops expanded,
+    their order, the verdict and the path are those of building every
+    child at expansion.  The state cap counts, at each expansion, every
+    child within the bound, repeats included (plus the start loop),
+    since unbuilt children cannot be told apart; that is never fewer
+    than the distinct loops an eager search would hold, so a capped
+    search stops no later than it would.
     """
     _check_query(loop, cx, k)
     weight = 8 if greedy else 1
@@ -273,24 +303,25 @@ def _search(loop: Loop, cx: CliqueComplex, k: int, budgets: Budgets,
         return False, None
     states = 1  # counted against the cap: the start and every scanned child
     best: dict[Loop, int] = {start: 0}
-    parents: dict[Loop, tuple[Loop, Move]] = {}
+    parents: dict[Loop, tuple[Loop, _Kind, object]] = {}
     tie = count()
     push, pop, get = heapq.heappush, heapq.heappop, best.get
     # (f, g, tie, j, loop, e, s) queues a loop, j its place in its kind's
-    # scan; (f, g, tie, -1, (parent, kind, positions), e, s) a kind's
-    # unbuilt children, with their f, g and counts
+    # scan; (f, g, tie, -1, (parent, kind, found), e, s) a kind's unbuilt
+    # children, with their f, g and counts
     heap: list[tuple] = [(weight * h0, 0, next(tie), 0, start, e0, s0)]
     while heap:
         f, gc, t, j, cur, e, s = pop(heap)
         if j < 0:
-            parent, kind, positions = cur
-            for j, (mv, nxt) in enumerate(_build(parent, kind, positions)):
+            parent, kind, found = cur
+            positions = _positions(parent, cx, kind, found)
+            for j, nxt in enumerate(_build(parent, kind, positions)):
                 old = get(nxt)
                 if old is not None and old <= gc:
                     continue
                 best[nxt] = gc
                 if want_path:
-                    parents[nxt] = (parent, mv)
+                    parents[nxt] = (parent, kind, positions[j])
                 push(heap, (f, gc, t, j, nxt, e, s))
             continue
         if best[cur] != gc:
@@ -301,18 +332,19 @@ def _search(loop: Loop, cx: CliqueComplex, k: int, budgets: Budgets,
             path: list[tuple[Move, Loop]] = []
             node = cur
             while node != start:
-                prev, mv = parents[node]
-                path.append((_shared_move(*mv), node))
+                prev, kind, position = parents[node]
+                path.append((_shared_move(*_move(prev, kind, position)),
+                             node))
                 node = prev
             path.reverse()
             return True, path
         ng = gc + 1
         # the bound keeps exactly the kinds whose children have ng + nh <= k
-        for kind, positions in _scan(cur, cx, insertions, k - ng, e, s):
-            states += len(positions)
+        for kind, found in _scan(cur, cx, insertions, k - ng, e, s):
+            states += len(found) if kind.lister is None else found
             ne, ns = e + kind.de, s + kind.ds
             push(heap, (ng + weight * ((ne + 2) // 3 + ns), ng, next(tie), -1,
-                        (cur, kind, positions), ne, ns))
+                        (cur, kind, found), ne, ns))
         if states > cap:
             raise SearchBudgetExceeded(
                 f"contractibility search passed {cap} states "

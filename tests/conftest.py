@@ -135,8 +135,8 @@ def irreversible_moves(g: PortGraph, max_steps: int):
     contractibility search builds them under the bound h; the others
     cannot hold the parent."""
     from binox.complexes import clique_complex
-    from binox.homotopy import (_build, _edge_stationary_counts, _scan,
-                                neighbor_moves)
+    from binox.homotopy import (_build, _edge_stationary_counts, _positions,
+                                _scan, neighbor_moves)
 
     cx = clique_complex(g)
     bad = []
@@ -147,8 +147,9 @@ def irreversible_moves(g: PortGraph, max_steps: int):
             if mv.kind == "collapse":
                 continue
             kinds = _scan(nxt, cx, True, h, *_edge_stationary_counts(nxt))
-            if not any(back == loop for kind, positions in kinds
-                       for _, back in _build(nxt, kind, positions)):
+            if not any(back == loop for kind, found in kinds
+                       for back in _build(nxt, kind,
+                                          _positions(nxt, cx, kind, found))):
                 bad.append((loop, mv, nxt))
     return bad
 

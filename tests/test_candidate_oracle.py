@@ -37,8 +37,8 @@ import pytest
 from binox import explorer
 from binox.catalog import graph, names
 from binox.cover import isomorphism, universal_cover
-from binox.enumeration import (Candidate, edge_sets, find_candidate,
-                               port_assignments)
+from binox.enumeration import (Candidate, _view_child, edge_sets,
+                               find_candidate, port_assignments)
 from binox.errors import KernelFault
 from binox.explorer import PhasedAgent, run_agent
 from binox.graphs import PortGraph
@@ -179,6 +179,31 @@ def test_refold_rejects_a_forged_view(k3):
     vk = view_key(table, table.intern((lab, (first, second))), 2)
     with pytest.raises(KernelFault, match="re-verification"):
         find_candidate(vk, 4)
+
+
+def test_child_lookup_matches_a_scan_of_the_children():
+    """The development reads a view node's child at a port from the slot
+    the port sits at (p, or p - 1 past a skipped entry port).  On every
+    node of the views the tests here fold (small graphs from every start,
+    catalog terrains from their first and last vertex, depths 2k for
+    k = 1..RAW_LIMIT, both walks) it agrees, on every port, with a scan of
+    the node's children."""
+    inputs = [(g, g.vertices) for g in all_canonical(4)]
+    inputs += [(g, sorted({0, g.n - 1})) for g in map(graph, names())]
+    lookups = 0
+    for g, starts in inputs:
+        for nb in (False, True):
+            table = ViewInterner()
+            for v in starts:
+                for k in range(1, RAW_LIMIT + 1):
+                    fold_graph(g, v, 2 * k, table, nb)
+            for x in range(len(table)):
+                lab, children = table.key(x)
+                for p in range(lab[0]):
+                    want = next((c for q, _, c in children if q == p), None)
+                    assert _view_child(table, x, p) == want, (x, p)
+                    lookups += 1
+    assert lookups > 10**4
 
 
 # -- whole runs ------------------------------------------------------------------

@@ -207,8 +207,9 @@ def test_chordal6_halting_run():
 
 
 def test_icosahedron_halting_run():
-    """About 14 s, nearly all of it the phase-13 halting test over the
-    candidate's 12,878 simple cycles; the walk is computed, not stepped."""
+    """About 6 s on a 2-core VM, nearly all of it the phase-13 halting
+    test over the candidate's 12,878 simple cycles; the walk is computed,
+    not stepped."""
     g = graph("icosahedron")
     out = explore(g, move_budget=2 * 10**16, walk="nonbacktracking")
     assert (out.status, out.halt_phase, out.moves) \

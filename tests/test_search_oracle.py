@@ -17,7 +17,11 @@ and shows that the new count only ever stops a search earlier.
 list is checked against a scanning oracle that reads the graph and the
 simplex set instead of the complex's move tables, and what ``_search``
 builds under each bound against that list, filtered by kind name and by
-each child's own rescanned step counts.
+each child's own rescanned step counts.  expand_triangle is scanned as a
+count and listed only when built; on every loop scanned here the count
+must equal the oracle's number of expand_triangle children.  Besides
+every walk on the small graphs, both checks run on the simple cycles of
+every catalog terrain with triangles (all of them, or a seeded sample).
 
 In a triangle-free complex both searches leave out backtrack insertions;
 a check with the oracle keeping them shows they never shorten a
@@ -34,7 +38,7 @@ from itertools import count, permutations
 import pytest
 
 import binox.homotopy as H
-from binox.catalog import graph
+from binox.catalog import graph, vertex_map
 from binox.complexes import clique_complex
 from binox.config import DEFAULT_BUDGETS, Budgets
 from binox.enumeration import canonical_graphs
@@ -46,7 +50,10 @@ WALK_STEPS = 6
 SHORT_WALK_STEPS = 3
 BOUND = 6  # move bound of the searches on small graphs
 CERTIFICATE_MOVES = 20  # as in the acceptance gate's rp2 certificates
-SAMPLE_CYCLES = 40  # seeded sample per surface
+SAMPLE_CYCLES = 40  # seeded sample per catalog terrain
+# every catalog terrain with triangles
+CATALOG_TERRAINS = ("k3", "k4", "chordal6", "octahedron", "icosahedron", "rp2",
+                    "rp2_cover")
 SAMPLE_BUDGETS = Budgets(search_states=1000)
 SAMPLE_VERDICT_BOUNDS = (2, 3, 4)  # exhaustive negatives within the cap
 SMALL_CAPS = range(1, 51)  # state caps of the searches on small graphs
@@ -133,7 +140,8 @@ class CheckedScan:
     """Stands in for ``_scan``, which runs once per expansion in both
     searches (through ``neighbor_moves`` in the oracle): counts the calls
     and, while ``check`` is set, checks the loop's step counts it is
-    given, then builds every scanned child and checks its step counts
+    given and expand_triangle's scanned count against the scanning
+    oracle's, then builds every scanned child and checks its step counts
     against its parent's plus its move kind's delta, and against the
     bound."""
 
@@ -148,15 +156,18 @@ class CheckedScan:
         if not self.check:
             return out
         assert H._edge_stationary_counts(loop) == (e, s), loop
-        for kind, positions in out:
+        for kind, found in out:
+            positions = H._positions(loop, cx, kind, found)
             assert positions and (insertions or kind.name not in
                                   PURE_INSERTIONS), (loop, kind)
-            for mv, nxt in H._build(loop, kind, positions):
-                assert mv.kind == kind.name
+            if kind.name == "expand_triangle":  # scanned as a count
+                assert found == len(positions) \
+                    == len(scanning_expansions(loop, cx)), (loop, found)
+            for nxt in H._build(loop, kind, positions):
                 assert H._edge_stationary_counts(nxt) \
-                    == (e + kind.de, s + kind.ds), (loop, mv, nxt)
+                    == (e + kind.de, s + kind.ds), (loop, kind.name, nxt)
                 assert bound is None or rescanning_heuristic(nxt) <= bound, \
-                    (loop, mv, nxt, bound)
+                    (loop, kind.name, nxt, bound)
         return out
 
 
@@ -222,17 +233,31 @@ def assert_same_searches(moves, loop, cx, k, budgets):
         == searched(moves, loop, cx, k, budgets, greedy=True), loop
 
 
+def scanning_thirds(cx, a, b):
+    """The third vertices of the triangles on edge {a, b}, ascending, read
+    from the graph and the simplex set (a != b)."""
+    return sorted(w for w in cx.graph.neighbors(a)
+                  if w != b and tuple(sorted((a, b, w))) in cx.simplices)
+
+
+def scanning_expansions(loop, cx):
+    """``scanning_moves``' expand_triangle children."""
+    out = []
+    for i in range(len(loop) - 1):
+        a, b = loop[i], loop[i + 1]
+        if a != b:
+            for w in scanning_thirds(cx, a, b):
+                out.append((H.Move("expand_triangle", i, (w,)),
+                            loop[:i + 1] + (w,) + loop[i + 1:]))
+    return out
+
+
 def scanning_moves(loop, cx):
     """``neighbor_moves`` as it was before the complex carried move tables:
     every condition tested on the graph and the simplex set, one position
     at a time."""
     g = cx.graph
     m = len(loop) - 1
-
-    def thirds(a, b):  # a != b
-        return sorted(w for w in g.neighbors(a)
-                      if w != b and tuple(sorted((a, b, w))) in cx.simplices)
-
     out = []
     for i in range(m):
         if loop[i] == loop[i + 1]:
@@ -244,13 +269,13 @@ def scanning_moves(loop, cx):
                         loop[:i + 1] + loop[i + 3:]))
     for i in range(m - 1):
         a, w, b = loop[i:i + 3]
-        if a != b and w != a and w != b and w in thirds(a, b):
+        if a != b and w != a and w != b and w in scanning_thirds(cx, a, b):
             out.append((H.Move("contract_triangle", i, (w,)),
                         loop[:i + 1] + loop[i + 2:]))
     for i in range(m - 2):
         a, x, y = loop[i:i + 3]
         if (loop[i + 3] == a and x != y and a not in (x, y)
-                and y in thirds(a, x)):
+                and y in scanning_thirds(cx, a, x)):
             out.append((H.Move("delete_triangle", i, (x, y)),
                         loop[:i + 1] + loop[i + 4:]))
     for i in range(m + 1):
@@ -258,12 +283,7 @@ def scanning_moves(loop, cx):
         for w in g.neighbors(a):
             out.append((H.Move("insert_backtrack", i, (w,)),
                         loop[:i + 1] + (w, a) + loop[i + 1:]))
-    for i in range(m):
-        a, b = loop[i], loop[i + 1]
-        if a != b:
-            for w in thirds(a, b):
-                out.append((H.Move("expand_triangle", i, (w,)),
-                            loop[:i + 1] + (w,) + loop[i + 1:]))
+    out += scanning_expansions(loop, cx)
     for i in range(m + 1):
         a = loop[i]
         for s in sorted(s for s in cx.simplices if len(s) == 3 and a in s):
@@ -278,9 +298,11 @@ def scanning_moves(loop, cx):
 def assert_same_moves(loop, cx):
     """The move list equals the scanning oracle's.  For both insertions
     values and every bound from -1 up to the largest child's, what
-    ``_search`` builds (``_scan``, then ``_build`` per kind) is that list
-    without the pure insertions when they are left out, filtered to the
-    children within the bound, in the same order."""
+    ``_search`` builds (``_scan``, then ``_build`` per kind at the kind's
+    positions) is that list without the pure insertions when they are
+    left out, filtered to the children within the bound, in the same
+    order, and expand_triangle's scanned count is its number of children
+    in the scanning oracle."""
     every = H.neighbor_moves(loop, cx)
     assert every == scanning_moves(loop, cx), loop
     assert all(type(mv) is H.Move for mv, _ in every)
@@ -291,9 +313,15 @@ def assert_same_moves(loop, cx):
         lows = [rescanning_heuristic(nxt) for _, nxt in kept]
         for bound in range(-1, max(lows, default=0) + 1):
             want = [c for c, low in zip(kept, lows) if low <= bound]
-            got = [c for kind, positions
-                   in H._scan(loop, cx, insertions, bound, e, s)
-                   for c in H._build(loop, kind, positions)]
+            got = []
+            for kind, found in H._scan(loop, cx, insertions, bound, e, s):
+                positions = H._positions(loop, cx, kind, found)
+                assert positions, (loop, kind)
+                if kind.name == "expand_triangle":  # scanned as a count
+                    assert found == len(positions) \
+                        == len(scanning_expansions(loop, cx)), (loop, found)
+                got += zip([H._move(loop, kind, p) for p in positions],
+                           H._build(loop, kind, positions))
             assert got == want, (loop, insertions, bound)
 
 
@@ -354,22 +382,43 @@ def test_moves_match_scanning_oracle_on_small_graphs(n):
             assert_same_moves(loop, cx)
 
 
-def surface_sample(name):
+def catalog_sample(name):
+    """The terrain's complex and its simple cycles: all of them when there
+    are fewer than SAMPLE_CYCLES, else a seeded sample of SAMPLE_CYCLES.
+    rp2_cover has more simple cycles than homotopy.CYCLE_BUDGET, so its
+    sample lifts a seeded sample of rp2's closed-lift cycles through the
+    catalog's covering map; each lift is a simple cycle of the cover."""
+    rng = random.Random(20151)
+    if name == "rp2_cover":
+        f, g, _ = vertex_map("rp2_cover_to_rp2")
+        first = {}  # one cover vertex over each vertex of rp2
+        for u in g.vertices:
+            first.setdefault(f[u], u)
+        cycles = []
+        for cyc in rng.sample(rp2_lift_split()[0], SAMPLE_CYCLES):
+            lift = [first[cyc[0]]]
+            for v in cyc[1:]:
+                lift += [w for w in g.neighbors(lift[-1]) if f[w] == v]
+            assert len(lift) == len(cyc) and lift[-1] == lift[0], cyc
+            cycles.append(tuple(lift))
+        return clique_complex(g), cycles
     g = graph(name)
-    return (clique_complex(g),
-            random.Random(20151).sample(H.simple_cycles(g), SAMPLE_CYCLES))
+    cycles = H.simple_cycles(g)
+    if len(cycles) >= SAMPLE_CYCLES:
+        cycles = rng.sample(cycles, SAMPLE_CYCLES)
+    return clique_complex(g), cycles
 
 
-@pytest.mark.parametrize("name", ["rp2", "icosahedron"])
+@pytest.mark.parametrize("name", CATALOG_TERRAINS)
 def test_moves_match_scanning_oracle_on_surface_cycles(name):
-    cx, cycles = surface_sample(name)
+    cx, cycles = catalog_sample(name)
     for cyc in cycles:
         assert_same_moves(cyc, cx)
 
 
-@pytest.mark.parametrize("name", ["rp2", "icosahedron"])
+@pytest.mark.parametrize("name", CATALOG_TERRAINS)
 def test_search_matches_rescanning_oracle_on_surface_cycles(moves, name):
-    cx, cycles = surface_sample(name)
+    cx, cycles = catalog_sample(name)
     for cyc in cycles:
         assert_same_searches(moves, cyc, cx, CERTIFICATE_MOVES,
                              SAMPLE_BUDGETS)
@@ -428,7 +477,7 @@ def test_cap_stops_searches_earlier_on_small_graphs():
 
 @pytest.mark.parametrize("name", ["rp2", "icosahedron"])
 def test_cap_stops_searches_earlier_on_surface_cycles(name):
-    cx, cycles = surface_sample(name)
+    cx, cycles = catalog_sample(name)
     for cyc in cycles:
         for k in (CERTIFICATE_MOVES, *SAMPLE_VERDICT_BOUNDS):
             assert_cap_stops_earlier(cyc, cx, k,
