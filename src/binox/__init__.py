@@ -32,8 +32,7 @@ from .homotopy import (Move, all_simple_cycles_k_contractible,
                        contraction_certificate, contraction_sequence,
                        free_reduction, is_k_contractible,
                        min_contraction_moves, neighbor_moves, simple_cycles)
-from .views import (ViewInterner, ViewKey, fold_graph, format_view, reintern,
-                    view_key)
+from .views import ViewInterner, ViewKey, fold_graph, format_view, view_key
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -204,10 +204,7 @@ def names() -> tuple[str, ...]:
 
 
 def graph(name: str) -> PortGraph:
-    for e in ENTRIES:
-        if e.name == name:
-            return e.build()
-    raise KeyError(f"no catalog graph named {name!r}")
+    return entry(name).build()
 
 
 def entry(name: str) -> CatalogEntry:

@@ -40,16 +40,13 @@ class CliqueComplex:
       a loop's expand_triangle children are counted without listing them;
     * ``triangle_pairs[v]``: ``(x, y)`` then ``(y, x)`` for each triangle
       {v, x, y} with x < y, triangles ascending;
-    * ``backtracks``: every walk (u, w, u) along an edge;
     * ``triangle_paths``: every walk (u, w, v) along two sides of a
-      triangle;
-    * ``triangle_circuits``: every walk (u, x, y, u) around a triangle.
+      triangle.
     """
 
     __slots__ = ("graph", "simplices", "dimension", "by_dim", "star_sets",
                  "edge_ports", "back_steps", "thirds", "third_counts",
-                 "triangle_pairs", "backtracks", "triangle_paths",
-                 "triangle_circuits")
+                 "triangle_pairs", "triangle_paths")
 
     def __init__(self, graph: PortGraph, simplices: frozenset[Simplex]):
         self.graph = graph
@@ -66,8 +63,6 @@ class CliqueComplex:
         self.edge_ports = tuple(graph.edges())
         self.back_steps = tuple(tuple((w,) for w in graph.neighbors(v))
                                 for v in graph.vertices)
-        self.backtracks = frozenset((u, w, u) for u in graph.vertices
-                                    for w in graph.neighbors(u))
         thirds: dict[tuple[int, int], list[tuple[int]]] = {}
         pairs: list[list[tuple[int, int]]] = [[] for _ in graph.vertices]
         triangles = self.by_dim[2] if self.dimension >= 2 else ()
@@ -83,8 +78,6 @@ class CliqueComplex:
         self.triangle_pairs = tuple(map(tuple, pairs))
         self.triangle_paths = frozenset(
             (u, w, v) for (u, v), ws in thirds.items() for (w,) in ws)
-        self.triangle_circuits = frozenset(
-            (u, x, y, u) for u, xy in enumerate(pairs) for x, y in xy)
 
 
 def clique_complex(g: PortGraph) -> CliqueComplex:

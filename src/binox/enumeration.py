@@ -14,8 +14,8 @@ a fresh port reads that node's child.  Views of depth n - 1 determine a
 terrain's universal cover (Norris 1995), so this is the one candidate that
 can pass the halting test.  Hinted mode scans a given list of graphs and
 returns the first (graph, root) whose view equals the target.  Either way
-a match is decided by one fold into a fresh table holding the target view,
-and the table that folded the view is only read.
+a match is decided by one fold into the table that holds the target view,
+looking shapes up and never interning them, so that table is only read.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from typing import Iterable, Iterator, Sequence
 from .cover import develop, lifted_graph
 from .errors import KernelFault
 from .graphs import Label, PortGraph, port_map
-from .views import ViewInterner, ViewKey, fold_graph, reintern
+from .views import ViewInterner, ViewKey, _fold
 
 Pair = tuple[int, int]
 
@@ -120,13 +120,16 @@ class Candidate:
     root: int
 
 
-def _matcher(vk: ViewKey):
-    """Whether a (graph, root) has the view: the root is folded into a
-    fresh table holding the view, re-interned once, and compared by id."""
-    fresh = ViewInterner()
-    expect = reintern(vk.table, vk.ident, fresh)
-    return lambda h, w: fold_graph(h, w, vk.depth, fresh,
-                                   vk.nonbacktracking) == expect
+def _has_view(vk: ViewKey, h: PortGraph, w: int) -> bool:
+    """Whether root w of h has the view.  w's walk tree is folded with
+    each shape looked up in the view's table, never written to it, and
+    the ids are compared: equal ids in one table are equal trees.  A shape
+    the table lacks is in none of its trees, so the fold stops there."""
+    try:
+        return _fold(h, w, None, vk.depth, vk.table.find, vk.nonbacktracking,
+                     {}) == vk.ident
+    except KeyError:
+        return False
 
 
 def _view_child(table: ViewInterner, x: int, p: int) -> int | None:
@@ -151,19 +154,16 @@ def find_candidate(vk: ViewKey, k: int, mode: str = "exhaustive",
     a node past the view's horizon or a k-th lifted vertex; KernelFault
     when the development's view differs.  Hinted mode returns the first
     match in the hint list, hints and their roots in order.  Only
-    ``_matcher`` compares views, and it never writes the view's table.
+    ``_has_view`` compares views, and it only reads the view's table.
     """
     if not isinstance(vk, ViewKey):
         raise TypeError(f"cannot search for {type(vk).__name__}")
     if mode == "hinted":
-        matches = None
         for h in hints:
-            if h.n >= k:
-                continue
-            matches = matches or _matcher(vk)
-            for w in h.vertices:
-                if matches(h, w):
-                    return Candidate(h, w)
+            if h.n < k:
+                for w in h.vertices:
+                    if _has_view(vk, h, w):
+                        return Candidate(h, w)
         return None
     if mode != "exhaustive":
         raise ValueError(f"unknown candidate mode {mode!r}")
@@ -177,7 +177,7 @@ def find_candidate(vk: ViewKey, k: int, mode: str = "exhaustive",
     if dev is None:
         return None
     h = lifted_graph(*dev, label)
-    if not _matcher(vk)(h, 0):  # guards against id aliasing
+    if not _has_view(vk, h, 0):  # guards against id aliasing
         raise KernelFault(
             f"candidate ({h!r}, root 0) failed re-verification at depth {vk.depth}"
         )

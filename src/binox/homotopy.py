@@ -57,10 +57,9 @@ def _collapses(loop: Loop, cx: CliqueComplex) -> list:  # (a, a) -> (a,)
 
 
 def _backtrack_deletions(loop: Loop, cx: CliqueComplex) -> list:
-    # (a, w, a) -> (a,); only windows with equal ends are looked up
-    backtracks = cx.backtracks
+    # (a, w, a) -> (a,); a closed walk steps along an edge from a to w != a
     return [i for i in compress(count(), map(eq, loop, loop[2:]))
-            if loop[i:i + 3] in backtracks]
+            if loop[i + 1] != loop[i]]
 
 
 def _triangle_contractions(loop: Loop, cx: CliqueComplex) -> list:
@@ -70,10 +69,10 @@ def _triangle_contractions(loop: Loop, cx: CliqueComplex) -> list:
 
 
 def _triangle_deletions(loop: Loop, cx: CliqueComplex) -> list:
-    # (a, x, y, a) -> (a,); only windows with equal ends are looked up
-    circuits = cx.triangle_circuits
+    # (a, x, y, a) -> (a,); in a closed walk three distinct vertices a, x,
+    # y are pairwise adjacent, and every 3-clique is a 2-simplex
     return [i for i in compress(count(), map(eq, loop, loop[3:]))
-            if loop[i:i + 4] in circuits]
+            if loop[i] != loop[i + 1] != loop[i + 2] != loop[i]]
 
 
 def _backtrack_insertions(loop: Loop, cx: CliqueComplex) -> list:
@@ -191,7 +190,10 @@ def neighbor_moves(loop: Loop, cx: CliqueComplex) -> list[tuple[Move, Loop]]:
     order: every kind's children, kinds in queue order (collapse,
     delete_backtrack, contract_triangle, delete_triangle,
     insert_backtrack, expand_triangle, insert_triangle), each kind's by
-    position.
+    position.  The loop must be a closed walk of cx's graph, as
+    ``_check_query`` asks of a search's loop and every move keeps it: the
+    deleting kinds read a backtrack or a triangle off the walk's vertices
+    alone.
 
     ``_search`` does not call this but expands a loop from the same scan:
     it scans the kinds within its bound, leaving out the pure insertions

@@ -47,6 +47,11 @@ class ViewInterner:
     def key(self, ident: int) -> tuple:
         return self._keys[ident]
 
+    def find(self, key: tuple) -> int:
+        """The id of an interned key; KeyError when the table lacks it.
+        Never writes, so a fold that looks shapes up with it only reads."""
+        return self._ids[key]
+
     def digest(self) -> str:
         """sha256 over the insertion-ordered keys, one repr line per key.
 
@@ -112,8 +117,10 @@ def _fold(g: PortGraph, v: int, entry: int | None, depth: int,
     the entry port is skipped in non-backtracking mode.
 
     A key is (label, ((out port, in port, value), ...)), each value what
-    ``intern`` returned for that child: ``table.intern`` gives its id, and
-    an interner returning 1 + the sum of the child values counts nodes.
+    ``intern`` returned for that child: ``table.intern`` gives its id,
+    ``table.find`` its id without writing (KeyError stops the fold at a
+    shape the table lacks), and an interner returning 1 + the sum of the
+    child values counts nodes.
     ``memo`` maps (vertex, entry, depth) in non-backtracking mode, else
     (vertex, depth), to the values of the subtrees folded so far; a caller
     may share it between folds with the same ``intern``.  Each node the
@@ -161,45 +168,13 @@ def _fold(g: PortGraph, v: int, entry: int | None, depth: int,
         p += 1
 
 
-def reintern(src: ViewInterner, ident: int, dst: ViewInterner) -> int:
-    """Re-fold an interned shape into another table; id in dst's numbering.
-
-    Shapes enter dst children first, in port order, each once.
-    """
-    memo: dict[int, int] = {}
-    stack: list[tuple] = []  # ancestors of the open shape i
-    i = ident
-    lab, kids = src.key(i)
-    out: list[tuple[int, int, int]] = []
-    j = 0
-    while True:
-        if j < len(kids):
-            p, q, c = kids[j]
-            got = memo.get(c)
-            if got is not None:
-                out.append((p, q, got))
-                j += 1
-                continue
-            stack.append((i, lab, kids, out, j))
-            i = c
-            lab, kids = src.key(c)
-            out, j = [], 0
-            continue
-        got = dst.intern((lab, tuple(out)))
-        memo[i] = got
-        if not stack:
-            return got
-        i, lab, kids, out, j = stack.pop()
-        out.append((kids[j][0], kids[j][1], got))
-        j += 1
-
-
 @dataclass(frozen=True)
 class ViewKey:
     """A folded view: the depth-``depth`` walk tree (non-backtracking or
     full) whose shape ``table`` interned as ``ident``.
 
-    Candidate search reads the table and never interns into it.
+    Candidate search reads the table (``ViewInterner.find``) and never
+    interns into it.
     """
 
     table: ViewInterner

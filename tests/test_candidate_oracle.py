@@ -24,10 +24,15 @@ a match that deep has the terrain's universal cover, so it is that cover
 when it has one sheet, and otherwise the rule above asks for None.
 
 Hinted mode once compared views the same way, with ``root_matches``: a
-label prefilter, then a fold into the agent's own table.  It now folds
-each hint root into a fresh table, as the development's re-fold check
-does.  The two must pick the same (hint, root) on the same views, and
-no candidate search, in either mode, may change the view's table.
+label prefilter, then a fold into the agent's own table.  It now checks
+each hint root as the development's re-fold check does.  The two must
+pick the same (hint, root) on the same views, and no candidate search,
+in either mode, may change the view's table.
+
+That check, ``_has_view``, folds a root while only looking shapes up in
+the view's own table.  It once re-interned the view into a fresh table
+and folded each root into that copy; ``copy_matcher`` keeps that as the
+reference it must agree with.
 """
 
 from functools import lru_cache
@@ -37,7 +42,7 @@ import pytest
 from binox import explorer
 from binox.catalog import graph, names
 from binox.cover import isomorphism, universal_cover
-from binox.enumeration import (Candidate, _view_child, edge_sets,
+from binox.enumeration import (Candidate, _has_view, _view_child, edge_sets,
                                find_candidate, port_assignments)
 from binox.errors import KernelFault
 from binox.explorer import PhasedAgent, run_agent
@@ -204,6 +209,51 @@ def test_child_lookup_matches_a_scan_of_the_children():
                     assert _view_child(table, x, p) == want, (x, p)
                     lookups += 1
     assert lookups > 10**4
+
+
+def copy_matcher(vk):
+    """The earlier re-fold check: the view is re-interned into a fresh
+    table, each root is folded into that copy, and the ids are compared."""
+    fresh, memo = ViewInterner(), {}
+
+    def copy(i):
+        if i not in memo:
+            lab, children = vk.table.key(i)
+            memo[i] = fresh.intern(
+                (lab, tuple((p, q, copy(c)) for p, q, c in children)))
+        return memo[i]
+
+    expect = copy(vk.ident)
+    return lambda h, w: fold_graph(h, w, vk.depth, fresh,
+                                   vk.nonbacktracking) == expect
+
+
+def test_read_only_refold_matches_the_copy():
+    """``_has_view`` gives the copy's answer and never writes the table.
+    Views: every canonical graph on at most 4 vertices from its first and
+    last vertex, and every catalog terrain from vertex 0, both walks,
+    depths 0-4.  Roots tried: every root of the canonical graphs on at
+    most 3 vertices, and the terrain's own."""
+    small = all_canonical(3)
+    views = [(g, v) for g in all_canonical(4) for v in sorted({0, g.n - 1})]
+    views += [(graph(name), 0) for name in names()]
+    outcomes = {True: 0, False: 0}
+    for g, v in views:
+        for nb in (False, True):
+            for depth in range(5):
+                table = ViewInterner()
+                vk = view_key(table, fold_graph(g, v, depth, table, nb),
+                              depth, nb)
+                size, digest = len(table), table.digest()
+                want = copy_matcher(vk)
+                for h in small + (g,):
+                    for w in h.vertices:
+                        got = _has_view(vk, h, w)
+                        assert got == want(h, w), (g.encoding(), v, nb,
+                                                   depth, h.encoding(), w)
+                        outcomes[got] += 1
+                assert (len(table), table.digest()) == (size, digest)
+    assert min(outcomes.values()) > 1000, outcomes
 
 
 # -- whole runs ------------------------------------------------------------------

@@ -15,6 +15,7 @@ from binox.complexes import (CliqueComplex, clique_complex, coverings_agree,
 from binox.cover import universal_cover
 from binox.errors import BudgetExceeded, NotSimplicial
 from binox.graphs import PortGraph, load_graph, load_vertex_map, port_map
+from binox.homotopy import _backtrack_deletions, _triangle_deletions
 
 from conftest import all_canonical, small_graphs
 
@@ -111,20 +112,27 @@ def test_star_and_triangle_lookups(k4):
     assert cx.triangle_pairs[2] == ((0, 1), (1, 0), (0, 3), (3, 0),
                                     (1, 3), (3, 1))
     assert cx.back_steps[0] == tuple((w,) for w in k4.neighbors(0))
-    assert (0, 1, 0) in cx.backtracks and (0, 0, 0) not in cx.backtracks
     assert (0, 1, 2) in cx.triangle_paths
     assert (0, 1, 0) not in cx.triangle_paths
-    assert (0, 1, 2, 0) in cx.triangle_circuits
-    assert (0, 1, 2, 3) not in cx.triangle_circuits
+    # the deleting scans read a closed walk's vertices alone: a backtrack
+    # leaves and returns, a triangle circuit visits three distinct vertices
+    assert _backtrack_deletions((0, 1, 0), cx) == [0]
+    assert _backtrack_deletions((0, 0, 0), cx) == []
+    assert _triangle_deletions((0, 1, 2, 0, 3, 1, 0), cx) == [0, 3]
+    assert _triangle_deletions((0, 1, 1, 0), cx) == []
+    assert _triangle_deletions((0, 1, 0, 0), cx) == []
 
 
 def test_move_tables_follow_the_triangles():
     # c4 has no triangles: backtracks only
-    cx = clique_complex(graph("c4"))
+    c4 = graph("c4")
+    cx = clique_complex(c4)
     assert not cx.thirds and not cx.triangle_paths
-    assert not cx.triangle_circuits
     assert cx.triangle_pairs == ((),) * 4
-    assert len(cx.backtracks) == 8
+    assert _backtrack_deletions((0, 1, 0, 3, 0), cx) == [0, 2]
+    assert _triangle_deletions((0, 1, 0, 3, 0), cx) == []
+    assert sum(len(_backtrack_deletions((u, w, u), cx))
+               for u in c4.vertices for w in c4.neighbors(u)) == 8
 
 
 # -- simplicial maps ----------------------------------------------------------------

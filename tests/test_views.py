@@ -7,8 +7,8 @@ from hypothesis import given, settings
 
 from binox.catalog import cycle_graph, graph, names, vertex_map
 from binox.explorer import _count
-from binox.views import (ViewInterner, _fold, fold_graph, format_view,
-                         reintern, view_key)
+from binox.enumeration import _has_view
+from binox.views import ViewInterner, _fold, fold_graph, format_view, view_key
 
 from conftest import all_canonical, graph_with_vertex, same_view, walk_tree
 
@@ -154,21 +154,18 @@ def test_nonbacktracking_fold_same_relation(a, b):
                 == same_view(g1, v1, g2, v2, k))
 
 
-def test_reintern_lands_on_native_fold(k3, k4):
-    t1, t2 = ViewInterner(), ViewInterner()
-    a = fold_graph(k3, 0, 3, t1)
-    b = fold_graph(k4, 0, 3, t1)
-    ra = reintern(t1, a, t2)
-    rb = reintern(t1, b, t2)
-    assert ra != rb
-    assert ra == fold_graph(k3, 0, 3, t2)
-    assert rb == fold_graph(k4, 0, 3, t2)
-
-
-def test_reintern_round_trip(k3):
-    t1, t2 = ViewInterner(), ViewInterner()
-    a = fold_graph(k3, 0, 2, t1)
-    assert reintern(t2, reintern(t1, a, t2), t1) == a
+def test_find_only_reads_the_table(k3, k4):
+    """find gives an interned key's id and raises KeyError for any other
+    key, leaving the table as it was."""
+    table = ViewInterner()
+    fold_graph(k3, 0, 3, table)
+    size, digest = len(table), table.digest()
+    assert [table.find(table.key(i)) for i in range(size)] == list(range(size))
+    with pytest.raises(KeyError):
+        table.find((k4.label(0), ()))
+    with pytest.raises(KeyError):
+        _fold(k4, 0, None, 3, table.find, False, {})
+    assert (len(table), table.digest()) == (size, digest)
 
 
 def test_view_key_is_the_folded_view(k3):
@@ -202,19 +199,6 @@ def recursive_fold(g, v, depth, table, nonbacktracking=False):
     return rec(v, None, depth)
 
 
-def recursive_reintern(src, ident, dst):
-    memo = {}
-
-    def rec(i):
-        if i not in memo:
-            lab, children = src.key(i)
-            memo[i] = dst.intern((lab, tuple((p, q, rec(c))
-                                             for p, q, c in children)))
-        return memo[i]
-
-    return rec(ident)
-
-
 def recursive_format(table, ident, depth):
     lines = [f"view depth={depth}"]
 
@@ -230,12 +214,11 @@ def recursive_format(table, ident, depth):
 
 @pytest.mark.parametrize("nonbacktracking", (False, True))
 def test_folds_match_the_recursive_fold(nonbacktracking):
-    """Same ids, same table contents in the same order, same re-interned
-    ids and same text as the recursive functions, and the node counts of
-    the explorer's counting interner, on every canonical graph on at most
-    4 vertices and every catalog terrain, from every vertex."""
+    """Same ids, same table contents in the same order and same text as
+    the recursive functions, and the node counts of the explorer's
+    counting interner, on every canonical graph on at most 4 vertices and
+    every catalog terrain, from every vertex."""
     terrains = all_canonical(4) + tuple(graph(name) for name in names())
-    seed = graph("k3")
     for g in terrains:
         for depth in range(5):
             got, want = ViewInterner(), ViewInterner()
@@ -249,24 +232,23 @@ def test_folds_match_the_recursive_fold(nonbacktracking):
                     == [walk_tree_size(g, v, depth, nonbacktracking)
                         for v in g.vertices])
             assert got.digest() == want.digest()
-            got2, want2 = ViewInterner(), ViewInterner()
-            fold_graph(seed, 0, 2, got2)  # dst already holds other shapes
-            recursive_fold(seed, 0, 2, want2)
-            assert ([reintern(got, i, got2) for i in reversed(ids)]
-                    == [recursive_reintern(want, i, want2)
-                        for i in reversed(ids)])
-            assert got2.digest() == want2.digest()
             if depth <= 2 and not nonbacktracking:
                 assert all(format_view(got, i, depth)
                            == recursive_format(want, i, depth) for i in ids)
 
 
 def test_fold_deeper_than_the_recursion_limit(p2):
-    """p2's depth-d view is a path: one new shape per depth."""
+    """p2's depth-d view is a path: one new shape per depth.  The
+    read-only re-fold of candidate search goes as deep: p3's depth-5000
+    view is found at its own root and not at the other end's."""
     table = ViewInterner()
     ident = fold_graph(p2, 0, 5000, table)
     assert ident == 5000 and len(table) == 5001
-    assert reintern(table, ident, ViewInterner()) == 5000
+    p3, table = graph("p3"), ViewInterner()
+    vk = view_key(table, fold_graph(p3, 0, 5000, table), 5000)
+    size = len(table)
+    assert _has_view(vk, p3, 0) and not _has_view(vk, p3, 2)
+    assert len(table) == size
 
 
 # -- serialization ------------------------------------------------------------------
