@@ -4,7 +4,8 @@ The clique complex of a graph has a simplex for every clique.  Coverings
 can be phrased combinatorially on port graphs (degree-, port- and
 label-preserving surjections) or simplicially (star bijections); on clique
 complexes the two notions agree, and coverings_agree enforces that as a
-kernel invariant.
+kernel invariant.  A clique complex is a flag complex, so the star test
+reads the graph: neighborhoods and triangle counts, not simplex images.
 """
 
 from __future__ import annotations
@@ -22,10 +23,12 @@ _NOT_SIMPLICIAL = "map is not simplicial; star test undefined"
 class CliqueComplex:
     """All cliques of a graph, organized for covering checks and moves.
 
-    Tables built once, in one pass over the simplices:
+    ``simplices`` must be exactly the graph's cliques, as ``clique_complex``
+    builds them: the covering check reads only the graph and the triangles.
+
+    Tables built once:
 
     * ``by_dim[d]``: the d-simplices, ascending;
-    * ``star_sets[v]``: the simplices containing v, as a frozenset;
     * ``edge_ports``: the graph's edges as (u, v, pu, pv), u < v.
 
     Move tables for ``homotopy.neighbor_moves``.  Inserted vertices come
@@ -44,22 +47,18 @@ class CliqueComplex:
       triangle.
     """
 
-    __slots__ = ("graph", "simplices", "dimension", "by_dim", "star_sets",
-                 "edge_ports", "back_steps", "thirds", "third_counts",
-                 "triangle_pairs", "triangle_paths")
+    __slots__ = ("graph", "simplices", "dimension", "by_dim", "edge_ports",
+                 "back_steps", "thirds", "third_counts", "triangle_pairs",
+                 "triangle_paths")
 
     def __init__(self, graph: PortGraph, simplices: frozenset[Simplex]):
         self.graph = graph
         self.simplices = simplices
         self.dimension = max(map(len, simplices)) - 1
         by_dim: list[list[Simplex]] = [[] for _ in range(self.dimension + 1)]
-        stars: list[list[Simplex]] = [[] for _ in graph.vertices]
         for s in simplices:
             by_dim[len(s) - 1].append(s)
-            for v in s:
-                stars[v].append(s)
         self.by_dim = tuple(tuple(sorted(ds)) for ds in by_dim)
-        self.star_sets = tuple(map(frozenset, stars))
         self.edge_ports = tuple(graph.edges())
         self.back_steps = tuple(tuple((w,) for w in graph.neighbors(v))
                                 for v in graph.vertices)
@@ -134,71 +133,57 @@ def _check_total(f: dict[int, int], src: PortGraph, dst: PortGraph) -> None:
     for u in src.vertices:
         if u not in f:
             raise NotSimplicial(f"map undefined on vertex {u}")
+        if type(f[u]) is not int:
+            raise NotSimplicial(f"image {f[u]!r} of vertex {u} is not an int")
         if not 0 <= f[u] < dst.n:
             raise NotSimplicial(f"image {f[u]} of vertex {u} out of range")
 
 
 def is_simplicial_covering(f: dict[int, int], src: CliqueComplex,
                            dst: CliqueComplex) -> bool:
-    """Star-bijection test: f restricted to each star is a bijection.
+    """Star-bijection test, read off the 1-skeleton.
 
     Requires f to be simplicial, sending every simplex of src onto a
     simplex of dst (NotSimplicial otherwise), and checks, for every vertex
     v of src, that s -> f(s) maps the star of v injectively ONTO the star
     of f(v).
 
+    Both complexes are flag complexes, so neither needs its simplices
+    listed.  Images that are pairwise adjacent or equal form a clique, so
+    f is simplicial exactly when every edge lands on an edge or a single
+    vertex.  The star of v is v joined to each clique among v's
+    neighbors.  When f is injective on v's neighbors and maps them onto
+    f(v)'s (so none lands on f(v)), it sends the edges among v's
+    neighbors one-to-one into those among f(v)'s.  There is one such edge
+    per triangle on the vertex, so equal triangle counts make that onto.
+    f is then an isomorphism between the two neighborhoods, and their
+    cliques, the higher simplices of both stars, correspond too.
+    Conversely a star bijection maps v's edges onto f(v)'s and v's
+    triangles onto f(v)'s.
+
     Clique complexes of port graphs are labeled objects: each edge simplex
     carries its two port numbers, and the map must preserve them too.  The
     star test alone is strictly weaker than the port-graph covering notion:
     any port-breaking automorphism of the underlying complex passes it.
     """
-    _check_total(f, src.graph, dst.graph)
-    # each simplex's image, computed once and checked as it is made, so
-    # a map that is not simplicial stops at its first stray simplex;
-    # dimensions 0-2 by hand
-    image: dict[Simplex, Simplex] = {}
-    simplices = dst.simplices
-    for dim, by_dim in enumerate(src.by_dim):
-        if dim == 0:
-            for s in by_dim:
-                t = image[s] = (f[s[0]],)
-                if t not in simplices:
-                    raise NotSimplicial(_NOT_SIMPLICIAL)
-        elif dim == 1:
-            for s in by_dim:
-                a, b = f[s[0]], f[s[1]]
-                t = image[s] = (a, b) if a < b else (b, a) if b < a else (a,)
-                if t not in simplices:
-                    raise NotSimplicial(_NOT_SIMPLICIAL)
-        elif dim == 2:
-            for s in by_dim:
-                a, b, c = f[s[0]], f[s[1]], f[s[2]]
-                if a > b:
-                    a, b = b, a
-                if b > c:
-                    b, c = c, b
-                    if a > b:
-                        a, b = b, a
-                if a < b:
-                    t = image[s] = (a, b, c) if b < c else (a, b)
-                else:
-                    t = image[s] = (a, c) if b < c else (a,)
-                if t not in simplices:
-                    raise NotSimplicial(_NOT_SIMPLICIAL)
-        else:
-            for s in by_dim:
-                t = image[s] = tuple(sorted({f[v] for v in s}))
-                if t not in simplices:
-                    raise NotSimplicial(_NOT_SIMPLICIAL)
-    # equal sizes and equal sets: the star maps bijectively
-    get = image.__getitem__
-    for v, star in enumerate(src.star_sets):
-        want = dst.star_sets[f[v]]
-        if len(star) != len(want) or set(map(get, star)) != want:
+    g, h = src.graph, dst.graph
+    _check_total(f, g, h)
+    has_edge = h.has_edge
+    for u, v, _, _ in src.edge_ports:
+        a, b = f[u], f[v]
+        if a != b and not has_edge(a, b):
+            raise NotSimplicial(_NOT_SIMPLICIAL)
+    # triangle_pairs lists each triangle on a vertex twice
+    src_pairs, dst_pairs = src.triangle_pairs, dst.triangle_pairs
+    for v in g.vertices:
+        fv, nbrs = f[v], g.neighbors(v)
+        images = {f[w] for w in nbrs}
+        if (len(images) != len(nbrs) or images != set(h.neighbors(fv))
+                or len(src_pairs[v]) != len(dst_pairs[fv])):
             return False
-    port_to = dst.graph.port_to
+    port_to = h.port_to
     for u, v, pu, pv in src.edge_ports:
-        # the star test makes f(u) and f(v) adjacent
+        # the link test makes f(u) and f(v) adjacent
         if port_to(f[u], f[v]) != pu or port_to(f[v], f[u]) != pv:
             return False
     return True
@@ -230,11 +215,12 @@ def coverings_agree(f: dict[int, int], src: PortGraph, dst: PortGraph) -> bool:
     be a graph covering either (port commutation forces simplex images),
     so NotSimplicial from the star test is folded into verdict False after
     confirming the graph side agrees.  A partial map, or one with an image
-    outside dst, is neither, so it gets verdict False too.
+    that is not an int or lies outside dst, is neither, so it gets verdict
+    False too.
     """
     try:
         gc = is_graph_covering(f, src, dst)
-    except NotSimplicial:  # a vertex unmapped or mapped out of range
+    except NotSimplicial:  # a vertex unmapped, or its image bad
         gc = False
     ks, kd = clique_complex(src), clique_complex(dst)
     try:

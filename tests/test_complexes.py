@@ -10,7 +10,7 @@ from hypothesis import given, settings
 
 from binox import complexes
 from binox.catalog import ENTRIES, MAPS, graph, vertex_map
-from binox.complexes import (CliqueComplex, clique_complex, coverings_agree,
+from binox.complexes import (clique_complex, coverings_agree,
                              is_graph_covering, is_simplicial_covering)
 from binox.cover import universal_cover
 from binox.errors import BudgetExceeded, NotSimplicial
@@ -103,8 +103,6 @@ def test_simplices_are_exactly_the_cliques(g):
 
 def test_star_and_triangle_lookups(k4):
     cx = clique_complex(k4)
-    assert all(0 in s for s in cx.star_sets[0])
-    assert len(cx.star_sets[0]) == 8  # 1 vertex + 3 edges + 3 triangles + 1 tetra
     assert cx.by_dim[2] == ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3))
     assert cx.by_dim[3] == ((0, 1, 2, 3),)
     assert cx.edge_ports == tuple(k4.edges())
@@ -191,10 +189,11 @@ def test_covering_test_requires_simplicial_map():
 
 def stars_biject(f, src, dst):
     """The star-bijection half of is_simplicial_covering, ports ignored."""
-    for v, star in enumerate(src.star_sets):
-        images = [tuple(sorted({f[x] for x in s})) for s in star]
+    for v in src.graph.vertices:
+        images = [tuple(sorted({f[x] for x in s}))
+                  for s in literal_star(src, v)]
         if (len(set(images)) != len(images)
-                or set(images) != dst.star_sets[f[v]]):
+                or set(images) != literal_star(dst, f[v])):
             return False
     return True
 
@@ -227,6 +226,8 @@ def literal_is_simplicial_map(f, src, dst):
     for u in src.graph.vertices:
         if u not in f:
             raise NotSimplicial(f"map undefined on vertex {u}")
+        if type(f[u]) is not int:
+            raise NotSimplicial(f"image {f[u]!r} of vertex {u} is not an int")
         if not 0 <= f[u] < dst.graph.n:
             raise NotSimplicial(f"image {f[u]} of vertex {u} out of range")
     return all(tuple(sorted({f[v] for v in s})) in dst.simplices
@@ -281,7 +282,8 @@ def test_star_tables_are_the_literal_stars():
     for g in all_canonical(4):
         cx = clique_complex(g)
         for v in g.vertices:
-            assert cx.star_sets[v] == literal_star(cx, v)
+            triangles = sum(len(s) == 3 for s in literal_star(cx, v))
+            assert len(cx.triangle_pairs[v]) // 2 == triangles
         assert sum(map(len, cx.by_dim)) == len(cx.simplices)
         assert {s for ds in cx.by_dim for s in ds} == cx.simplices
 
@@ -304,23 +306,45 @@ def test_covering_check_matches_literal_definition_on_small_maps():
     assert total[False] > 0 and total["not simplicial"] > 0
 
 
+def perturbations(f, dst, rng):
+    """Three copies of f with one vertex reassigned, then three with the
+    images of two vertices, not always distinct, swapped."""
+    out = []
+    for _ in range(3):
+        u = rng.randrange(len(f))
+        out.append({**f, u: rng.randrange(dst.n)})
+    for _ in range(3):
+        u, v = rng.randrange(len(f)), rng.randrange(len(f))
+        out.append({**f, u: f[v], v: f[u]})
+    return out
+
+
 def test_covering_check_matches_literal_definition_on_catalog():
+    """Each catalog map and finite universal cover projection, and seeded
+    perturbations of each."""
+    rng = random.Random(2015)
+    total = Counter()
     for m in MAPS:
         src = load_graph(CATALOG / f"{m.src}.g")
         dst = load_graph(CATALOG / f"{m.dst}.g")
         path = CATALOG / f"{m.name.replace('_', '-')}.map"
         f = load_vertex_map(path, src, dst)
-        got = assert_same_verdicts([f], clique_complex(src),
-                                   clique_complex(dst))
+        ks, kd = clique_complex(src), clique_complex(dst)
+        got = assert_same_verdicts([f], ks, kd)
         assert got == {m.expected_covering: 1}, m.name
+        total += assert_same_verdicts(perturbations(f, dst, rng), ks, kd)
     for e in ENTRIES:
         if e.expected_kind == "exceeds_budget":
             continue
         g = e.build()
         res = universal_cover(g, verify=False)
-        got = assert_same_verdicts([res.projection], clique_complex(res.cover),
-                                   clique_complex(g))
+        ks, kd = clique_complex(res.cover), clique_complex(g)
+        got = assert_same_verdicts([res.projection], ks, kd)
         assert got == {True: 1}, e.name
+        total += assert_same_verdicts(perturbations(res.projection, g, rng),
+                                      ks, kd)
+    assert total[True] > 0 and total[False] > 0
+    assert total["not simplicial"] > 0
 
 
 # -- the label-based graph covering check against the per-port one -----------------
@@ -332,6 +356,8 @@ def literal_is_graph_covering(f, src, dst):
     for u in src.vertices:
         if u not in f:
             raise NotSimplicial(f"map undefined on vertex {u}")
+        if type(f[u]) is not int:
+            raise NotSimplicial(f"image {f[u]!r} of vertex {u} is not an int")
         if not 0 <= f[u] < dst.n:
             raise NotSimplicial(f"image {f[u]} of vertex {u} out of range")
     for u in src.vertices:
@@ -394,21 +420,26 @@ def test_graph_covering_check_matches_per_port_check_on_catalog():
                 True: 1}, e.name
 
 
-def test_every_dimension_is_looked_up_in_the_target(k3, k4):
-    # on clique complexes a triangle's image is a simplex once its edges'
-    # are, so hollow targets are needed to see each dimension checked
-    for g in (k3, k4):
-        cx = clique_complex(g)
-        hollow = CliqueComplex(g, frozenset(
-            s for s in cx.simplices if len(s) < g.n))
-        maps = [dict(enumerate(im)) for im in product(g.vertices, repeat=g.n)]
-        got = assert_same_verdicts(maps, cx, hollow)
-        assert got["not simplicial"] > 0, g
+def test_edges_on_edges_or_vertices_make_a_simplicial_map(k3, k4):
+    # on clique complexes a clique's image is a simplex once its edges'
+    # are, which is all that is_simplicial_covering checks
+    for g, cx in ((k3, clique_complex(k3)), (k4, clique_complex(k4))):
+        for h in all_canonical(4):
+            kh = clique_complex(h)
+            for im in product(h.vertices, repeat=g.n):
+                f = dict(enumerate(im))
+                edges_land = all(f[u] == f[v] or h.has_edge(f[u], f[v])
+                                 for u, v, _, _ in g.edges())
+                assert edges_land == literal_is_simplicial_map(f, cx, kh)
+                got = verdict(is_simplicial_covering, f, cx, kh)
+                assert (got == "map is not simplicial; star test undefined"
+                        ) == (not edges_land), (f, h)
 
 
 @pytest.mark.parametrize("f", [
     {}, {0: 0, 1: 1}, {0: 0, 2: 2}, {1: 1, 2: 2, 3: 0},
     {0: 0, 1: 1, 2: 3}, {0: -1, 1: 1, 2: 2}, {0: 0, 1: 7},
+    {0: 0, 1: 1, 2: 2.0}, {0: 0, 1: 1, 2: "2"}, {0: True, 1: 1, 2: 2},
 ])
 def test_bad_maps_give_the_literal_message(k3, f):
     cx = clique_complex(k3)
@@ -456,6 +487,11 @@ def test_definitions_agree_on_partial_and_out_of_range_maps():
     assert coverings_agree(f, src, dst) is False
     with pytest.raises(NotSimplicial, match="out of range$"):
         is_graph_covering(f, src, dst)
+    for bad in (3.0, "3"):
+        f[3] = bad
+        assert coverings_agree(f, src, dst) is False
+        with pytest.raises(NotSimplicial, match="is not an int$"):
+            is_graph_covering(f, src, dst)
 
 
 def test_definitions_agree_on_every_small_map():
