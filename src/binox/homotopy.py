@@ -46,44 +46,21 @@ class Move(NamedTuple):
 
 # -- move kinds ---------------------------------------------------------------
 #
-# A kind's scan lists its positions in a loop: an index i for the removing
-# kinds, a pair (i, inserted) for the inserting ones, one per child.
-# expand_triangle's scan only counts them, since most scanned children are
+# ``_scan`` lists every kind's positions in a loop in one call: an index i
+# for the removing kinds, a pair (i, inserted) for the inserting ones, one
+# per child.  It reads the removing kinds off the loop's steps and windows
+# of three.  The windows that are triangle paths are contract_triangle's
+# positions, and delete_triangle's are those followed by their start: in
+# a closed walk, (a, x, y, a) with a, x, y distinct steps along three
+# edges, so {a, x, y} is a 3-clique, a 2-simplex, and (a, x, y) a triangle
+# path.  expand_triangle is only counted, since most of its children are
 # never built; its lister lists them when they are.
-
-
-def _collapses(loop: Loop, cx: CliqueComplex) -> list:  # (a, a) -> (a,)
-    return list(compress(count(), map(eq, loop, loop[1:])))
-
-
-def _backtrack_deletions(loop: Loop, cx: CliqueComplex) -> list:
-    # (a, w, a) -> (a,); a closed walk steps along an edge from a to w != a
-    return [i for i in compress(count(), map(eq, loop, loop[2:]))
-            if loop[i + 1] != loop[i]]
-
-
-def _triangle_contractions(loop: Loop, cx: CliqueComplex) -> list:
-    # (a, w, b) -> (a, b)
-    return list(compress(count(), map(cx.triangle_paths.__contains__,
-                                      zip(loop, loop[1:], loop[2:]))))
-
-
-def _triangle_deletions(loop: Loop, cx: CliqueComplex) -> list:
-    # (a, x, y, a) -> (a,); in a closed walk three distinct vertices a, x,
-    # y are pairwise adjacent, and every 3-clique is a 2-simplex
-    return [i for i in compress(count(), map(eq, loop, loop[3:]))
-            if loop[i] != loop[i + 1] != loop[i + 2] != loop[i]]
 
 
 def _backtrack_insertions(loop: Loop, cx: CliqueComplex) -> list:
     # (a,) -> (a, w, a)
     steps = cx.back_steps
     return [(i, w) for i, a in enumerate(loop) for w in steps[a]]
-
-
-def _triangle_expansion_count(loop: Loop, cx: CliqueComplex) -> int:
-    # (a, b) -> (a, w, b), counted per step
-    return sum(map(cx.third_counts.__getitem__, zip(loop, loop[1:])))
 
 
 def _triangle_expansions(loop: Loop, cx: CliqueComplex) -> list:
@@ -103,60 +80,81 @@ class _Kind(NamedTuple):
     """A move kind.  Its child at position i is
     ``loop[:i + 1] + inserted + loop[i + cut:]``.  A removing kind inserts
     nothing and its Move.data is ``loop[i + 1:i + 1 + recorded]``; an
-    inserting kind (``recorded`` None) records what it inserts.  ``scan``
-    gives the positions, or for a kind with a ``lister`` only their count,
-    and the lister then lists them."""
+    inserting kind (``recorded`` None) records what it inserts.  ``_scan``
+    gives a kind's positions, or for a kind with a ``lister`` only their
+    count, and the lister then lists them."""
 
     name: str
     de: int  # edge steps a move adds to its loop
     ds: int  # stationary steps a move adds to its loop
     cut: int
     recorded: int | None
-    scan: Callable[[Loop, CliqueComplex], list | int]
     lister: Callable[[Loop, CliqueComplex], list] | None = None
 
 
 # in queue order; a child's step counts are its parent's plus (de, ds)
 _KINDS = (
-    _Kind("collapse", 0, -1, 2, 0, _collapses),
-    _Kind("delete_backtrack", -2, 0, 3, 0, _backtrack_deletions),
-    _Kind("contract_triangle", -1, 0, 2, 1, _triangle_contractions),
-    _Kind("delete_triangle", -3, 0, 4, 2, _triangle_deletions),
-    _Kind("insert_backtrack", 2, 0, 0, None, _backtrack_insertions),
-    _Kind("expand_triangle", 1, 0, 1, None, _triangle_expansion_count,
-          _triangle_expansions),
-    _Kind("insert_triangle", 3, 0, 0, None, _triangle_insertions),
+    _Kind("collapse", 0, -1, 2, 0),
+    _Kind("delete_backtrack", -2, 0, 3, 0),
+    _Kind("contract_triangle", -1, 0, 2, 1),
+    _Kind("delete_triangle", -3, 0, 4, 2),
+    _Kind("insert_backtrack", 2, 0, 0, None),
+    _Kind("expand_triangle", 1, 0, 1, None, _triangle_expansions),
+    _Kind("insert_triangle", 3, 0, 0, None),
 )
-
-# the kinds that only ever grow the loop
-_PURE_INSERTIONS = frozenset({"insert_backtrack", "insert_triangle"})
-
-
-@cache
-def _kinds_within(slack: int | None, insertions: bool,
-                  stationary: bool) -> tuple[_Kind, ...]:
-    """The kinds whose children keep a loop within a bound b, in queue
-    order (every kind when slack is None).  A child's lower bound
-    (e + de + 2) // 3 + s + ds is at most b exactly when
-    de + 3 * ds <= 3 * (b - s) - e, the slack.  insertions=False leaves
-    out the pure insertions, and a loop without stationary steps has no
-    collapse."""
-    return tuple(kd for kd in _KINDS
-                 if (slack is None or kd.de + 3 * kd.ds <= slack)
-                 and (insertions or kd.name not in _PURE_INSERTIONS)
-                 and (stationary or kd.name != "collapse"))
+(_COLLAPSE, _DELETE_BACKTRACK, _CONTRACT_TRIANGLE, _DELETE_TRIANGLE,
+ _INSERT_BACKTRACK, _EXPAND_TRIANGLE, _INSERT_TRIANGLE) = _KINDS
 
 
 def _scan(loop: Loop, cx: CliqueComplex, insertions: bool, bound: int | None,
           e: int, s: int) -> list[tuple[_Kind, list | int]]:
     """(kind, found) for each kind that has a move in the loop and keeps
-    its children within the bound, in queue order, found being what the
-    kind's scan gives: its positions, or their count.  e and s are the
-    loop's edge and stationary step counts.  No child loop is built."""
-    slack = None if bound is None else 3 * (bound - s) - e
-    return [(kind, found)
-            for kind in _kinds_within(slack, insertions, s > 0)
-            if (found := kind.scan(loop, cx))]
+    its children within the bound, in queue order, found being the kind's
+    positions, or for expand_triangle their count.  e and s are the
+    loop's edge and stationary step counts.  No child loop is built.
+
+    A child's lower bound (e + de + 2) // 3 + s + ds is at most the bound
+    exactly when de + 3 * ds <= 3 * (bound - s) - e, the slack.  Each
+    kind's de + 3 * ds is written out below, in parentheses where the
+    code does not test it; none exceeds 3, so a slack of 3 keeps every
+    kind (bound None).  insertions=False leaves out the pure insertions.
+    The loop must be a closed walk of cx's graph, since the deleting
+    kinds read a backtrack or a triangle circuit off its vertices alone.
+    """
+    slack = 3 if bound is None else 3 * (bound - s) - e
+    out: list[tuple[_Kind, list | int]] = []
+    if slack < -3:  # no kind's children are within the bound
+        return out
+    steps, triples = loop[1:], loop[2:]
+    if s:  # collapse (-3): (a, a) -> (a,); s counts its positions
+        out.append((_COLLAPSE, list(compress(count(), map(eq, loop, steps)))))
+    if slack >= -2:  # delete_backtrack: (a, w, a) -> (a,), w != a
+        found = list(compress(count(), map(eq, loop, triples)))
+        if s:
+            found = [i for i in found if loop[i + 1] != loop[i]]
+        if found:
+            out.append((_DELETE_BACKTRACK, found))
+    # contract_triangle: (a, w, b) -> (a, b); delete_triangle (-3)
+    found = list(compress(count(), map(cx.triangle_paths.__contains__,
+                                       zip(loop, steps, triples))))
+    if found:
+        if slack >= -1:
+            out.append((_CONTRACT_TRIANGLE, found))
+        last = len(loop) - 3  # (a, x, y, a) -> (a,)
+        if found := [i for i in found if i < last and loop[i + 3] == loop[i]]:
+            out.append((_DELETE_TRIANGLE, found))
+    if slack < 1:
+        return out
+    if insertions and slack >= 2:  # insert_backtrack: (a,) -> (a, w, a)
+        if found := _backtrack_insertions(loop, cx):
+            out.append((_INSERT_BACKTRACK, found))
+    # expand_triangle (1): (a, b) -> (a, w, b), counted per step
+    if found := sum(map(cx.third_counts.__getitem__, zip(loop, steps))):
+        out.append((_EXPAND_TRIANGLE, found))
+    if insertions and slack >= 3:  # insert_triangle: (a,) -> (a, x, y, a)
+        if found := _triangle_insertions(loop, cx):
+            out.append((_INSERT_TRIANGLE, found))
+    return out
 
 
 def _positions(loop: Loop, cx: CliqueComplex, kind: _Kind,
@@ -195,11 +193,12 @@ def neighbor_moves(loop: Loop, cx: CliqueComplex) -> list[tuple[Move, Loop]]:
     deleting kinds read a backtrack or a triangle off the walk's vertices
     alone.
 
-    ``_search`` does not call this but expands a loop from the same scan:
-    it scans the kinds within its bound, leaving out the pure insertions
-    where it does not need them, and builds one kind's children only when
-    the queue reaches them.  It lists expand_triangle's positions only
-    then, and forms a Move only for the steps of a path it returns.
+    ``_search`` does not call this but expands a loop from the same
+    ``_scan``, one call per loop that reads every kind at once: it keeps
+    the kinds within its bound, leaving out the pure insertions where it
+    does not need them, and builds one kind's children only when the
+    queue reaches them.  It lists expand_triangle's positions only then,
+    and forms a Move only for the steps of a path it returns.
     """
     e, s = _edge_stationary_counts(loop)
     new = tuple.__new__  # a Move without NamedTuple's Python-level __new__
@@ -273,7 +272,8 @@ def _search(loop: Loop, cx: CliqueComplex, k: int, budgets: Budgets,
     ``free_reduction``) they never shorten a contraction there.
 
     Partial expansion: every child of one move kind gets the same queue
-    key, so expanding a loop only scans it and queues one entry per kind
+    key, so expanding a loop is one ``_scan`` call, which reads every
+    kind off the loop's windows at once, and one queue entry per kind
     within the bound; that kind's children are built, deduplicated and
     queued when its entry is popped, under the entry's key and tie in
     scan order.  expand_triangle, whose children are the most numerous

@@ -15,7 +15,7 @@ from binox.complexes import (clique_complex, coverings_agree,
 from binox.cover import universal_cover
 from binox.errors import BudgetExceeded, NotSimplicial
 from binox.graphs import PortGraph, load_graph, load_vertex_map, port_map
-from binox.homotopy import _backtrack_deletions, _triangle_deletions
+from binox.homotopy import _edge_stationary_counts, _scan
 
 from conftest import all_canonical, small_graphs
 
@@ -101,6 +101,14 @@ def test_simplices_are_exactly_the_cliques(g):
             assert (sub in cx.simplices) == is_clique
 
 
+def scanned(loop, cx, name):
+    """The positions of one move kind in the loop's unbounded scan."""
+    e, s = _edge_stationary_counts(loop)
+    return dict((kind.name, found)
+                for kind, found in _scan(loop, cx, False, None, e, s)
+                ).get(name, [])
+
+
 def test_star_and_triangle_lookups(k4):
     cx = clique_complex(k4)
     assert cx.by_dim[2] == ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3))
@@ -112,13 +120,14 @@ def test_star_and_triangle_lookups(k4):
     assert cx.back_steps[0] == tuple((w,) for w in k4.neighbors(0))
     assert (0, 1, 2) in cx.triangle_paths
     assert (0, 1, 0) not in cx.triangle_paths
-    # the deleting scans read a closed walk's vertices alone: a backtrack
-    # leaves and returns, a triangle circuit visits three distinct vertices
-    assert _backtrack_deletions((0, 1, 0), cx) == [0]
-    assert _backtrack_deletions((0, 0, 0), cx) == []
-    assert _triangle_deletions((0, 1, 2, 0, 3, 1, 0), cx) == [0, 3]
-    assert _triangle_deletions((0, 1, 1, 0), cx) == []
-    assert _triangle_deletions((0, 1, 0, 0), cx) == []
+    # the scan reads deletions off a closed walk's vertices alone: a
+    # backtrack leaves and returns, a triangle circuit visits three
+    # distinct vertices
+    assert scanned((0, 1, 0), cx, "delete_backtrack") == [0]
+    assert scanned((0, 0, 0), cx, "delete_backtrack") == []
+    assert scanned((0, 1, 2, 0, 3, 1, 0), cx, "delete_triangle") == [0, 3]
+    assert scanned((0, 1, 1, 0), cx, "delete_triangle") == []
+    assert scanned((0, 1, 0, 0), cx, "delete_triangle") == []
 
 
 def test_move_tables_follow_the_triangles():
@@ -127,9 +136,9 @@ def test_move_tables_follow_the_triangles():
     cx = clique_complex(c4)
     assert not cx.thirds and not cx.triangle_paths
     assert cx.triangle_pairs == ((),) * 4
-    assert _backtrack_deletions((0, 1, 0, 3, 0), cx) == [0, 2]
-    assert _triangle_deletions((0, 1, 0, 3, 0), cx) == []
-    assert sum(len(_backtrack_deletions((u, w, u), cx))
+    assert scanned((0, 1, 0, 3, 0), cx, "delete_backtrack") == [0, 2]
+    assert scanned((0, 1, 0, 3, 0), cx, "delete_triangle") == []
+    assert sum(len(scanned((u, w, u), cx, "delete_backtrack"))
                for u in c4.vertices for w in c4.neighbors(u)) == 8
 
 
@@ -178,6 +187,24 @@ def test_folding_c6_onto_triangle_is_not_a_covering():
 def test_double_cover_of_rp2_is_a_simplicial_covering():
     f, src, dst = vertex_map("rp2_cover_to_rp2")
     assert is_simplicial_covering(f, clique_complex(src), clique_complex(dst))
+
+
+def test_folded_neighbors_fail_the_link_test_alone(p2, monkeypatch):
+    # p3's centre has two neighbors, both sent to p2's vertex 1: the map
+    # is simplicial and onto every neighborhood but not injective on the
+    # centre's.  The port check would reject it too, so the verdict must
+    # come before any port is read.
+    src, dst = clique_complex(graph("p3")), clique_complex(p2)
+    calls = []
+    port_to = PortGraph.port_to
+
+    def counting(self, u, v):
+        calls.append((u, v))
+        return port_to(self, u, v)
+
+    monkeypatch.setattr(PortGraph, "port_to", counting)
+    assert not is_simplicial_covering({0: 1, 1: 0, 2: 1}, src, dst)
+    assert calls == []
 
 
 def test_covering_test_requires_simplicial_map():

@@ -26,6 +26,12 @@ every catalog terrain with triangles (all of them, or a seeded sample).
 In a triangle-free complex both searches leave out backtrack insertions;
 a check with the oracle keeping them shows they never shorten a
 contraction there.
+
+``_scan`` reads every kind in one call, taking delete_triangle's
+positions from the triangle paths.  The per-kind scans it replaced are
+kept below as references, and it must give their (kind, found) list
+under every bound on every walk of the small graphs and every sampled
+catalog cycle.
 """
 
 from __future__ import annotations
@@ -33,7 +39,9 @@ from __future__ import annotations
 import heapq
 import random
 from dataclasses import dataclass
-from itertools import count, permutations
+from functools import cache
+from itertools import compress, count, permutations
+from operator import eq
 
 import pytest
 
@@ -407,6 +415,127 @@ def catalog_sample(name):
     if len(cycles) >= SAMPLE_CYCLES:
         cycles = rng.sample(cycles, SAMPLE_CYCLES)
     return clique_complex(g), cycles
+
+
+# -- the per-kind scans that ``_scan`` replaced -------------------------------
+
+
+def reference_collapses(loop, cx):  # (a, a) -> (a,)
+    return list(compress(count(), map(eq, loop, loop[1:])))
+
+
+def reference_backtrack_deletions(loop, cx):
+    # (a, w, a) -> (a,); a closed walk steps along an edge from a to w != a
+    return [i for i in compress(count(), map(eq, loop, loop[2:]))
+            if loop[i + 1] != loop[i]]
+
+
+def reference_triangle_contractions(loop, cx):
+    # (a, w, b) -> (a, b)
+    return list(compress(count(), map(cx.triangle_paths.__contains__,
+                                      zip(loop, loop[1:], loop[2:]))))
+
+
+def reference_triangle_deletions(loop, cx):
+    # (a, x, y, a) -> (a,); in a closed walk three distinct vertices a, x,
+    # y are pairwise adjacent, and every 3-clique is a 2-simplex
+    return [i for i in compress(count(), map(eq, loop, loop[3:]))
+            if loop[i] != loop[i + 1] != loop[i + 2] != loop[i]]
+
+
+def reference_triangle_expansion_count(loop, cx):
+    # (a, b) -> (a, w, b), counted per step
+    return sum(map(cx.third_counts.__getitem__, zip(loop, loop[1:])))
+
+
+REFERENCE_SCANS = {
+    "collapse": reference_collapses,
+    "delete_backtrack": reference_backtrack_deletions,
+    "contract_triangle": reference_triangle_contractions,
+    "delete_triangle": reference_triangle_deletions,
+    "insert_backtrack": H._backtrack_insertions,
+    "expand_triangle": reference_triangle_expansion_count,
+    "insert_triangle": H._triangle_insertions,
+}
+
+
+@cache
+def reference_kinds_within(slack, insertions, stationary):
+    """The kinds whose children keep a loop within a bound, in queue order
+    (every kind when slack is None): de + 3 * ds <= 3 * (b - s) - e."""
+    return tuple(kd for kd in H._KINDS
+                 if (slack is None or kd.de + 3 * kd.ds <= slack)
+                 and (insertions or kd.name not in PURE_INSERTIONS)
+                 and (stationary or kd.name != "collapse"))
+
+
+def assert_same_scan(loop, cx):
+    """``_scan`` gives the per-kind scans' (kind, found) list, one call
+    per kind, for both insertions values and every bound from -1 up to
+    the largest child's, and None."""
+    e, s = H._edge_stationary_counts(loop)
+    every = {name: scan(loop, cx) for name, scan in REFERENCE_SCANS.items()}
+    for insertions in (True, False):
+        # insert_triangle's children (de = 3) have the largest lower bound
+        for bound in (*range(-1, (e + 5) // 3 + s + 1), None):
+            slack = None if bound is None else 3 * (bound - s) - e
+            want = [(kind.name, every[kind.name]) for kind
+                    in reference_kinds_within(slack, insertions, s > 0)
+                    if every[kind.name]]
+            got = [(kind.name, found) for kind, found
+                   in H._scan(loop, cx, insertions, bound, e, s)]
+            assert got == want, (loop, insertions, bound)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_scan_matches_per_kind_scans_on_small_graphs(n):
+    # as in the search test: ports only order insert_backtrack's children,
+    # so the first numbering of each shape takes every walk of WALK_STEPS
+    # steps and the others every walk of SHORT_WALK_STEPS
+    shapes = set()
+    for g in canonical_graphs(n):
+        s = shape(g)
+        steps = SHORT_WALK_STEPS if s in shapes else WALK_STEPS
+        shapes.add(s)
+        cx = clique_complex(g)
+        for loop in all_closed_walks(g, steps):
+            assert_same_scan(loop, cx)
+
+
+@pytest.mark.parametrize("name", CATALOG_TERRAINS)
+def test_scan_matches_per_kind_scans_on_surface_cycles(name):
+    cx, cycles = catalog_sample(name)
+    for cyc in cycles:
+        assert_same_scan(cyc, cx)
+
+
+# loop on k4: (contract_triangle's, delete_triangle's) positions
+TRIANGLE_WINDOWS = {
+    # a circuit that ends at the loop's last vertex; the last window,
+    # (1, 2, 0), is a triangle path with nothing after it
+    (0, 1, 2, 0): ([0, 1], [0]),
+    (0, 2, 0, 1, 2, 0): ([1, 2, 3], [1, 2]),
+    # stationary steps: no window is a triangle path
+    (0, 1, 1, 0): ([], []),
+    (0, 1, 0, 0): ([], []),
+    # triangle paths not followed by their start
+    (0, 1, 2, 3, 0): ([0, 1, 2], []),
+    (0, 1, 2, 0, 3, 1, 0): ([0, 1, 2, 3, 4], [0, 3]),
+}
+
+
+@pytest.mark.parametrize("loop", sorted(TRIANGLE_WINDOWS), ids=str)
+def test_triangle_deletions_are_triangle_paths_followed_by_their_start(
+        k4, loop):
+    cx = clique_complex(k4)
+    e, s = H._edge_stationary_counts(loop)
+    found = {kind.name: found
+             for kind, found in H._scan(loop, cx, False, None, e, s)}
+    assert (found.get("contract_triangle", []),
+            found.get("delete_triangle", [])) == TRIANGLE_WINDOWS[loop]
+    assert found.get("delete_triangle", []) \
+        == reference_triangle_deletions(loop, cx)
+    assert_same_scan(loop, cx)
 
 
 @pytest.mark.parametrize("name", CATALOG_TERRAINS)
