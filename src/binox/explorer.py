@@ -77,9 +77,12 @@ class PhasedAgent:
         self.phase_log: list[tuple] = []
         self.accepted: Candidate | None = None  # halts at phase k once set
         # digest caches, filled by digest() only
+        self._sha256 = None  # hashlib.sha256, bound by the first digest
         self._config_hash: str | None = None
-        self._rest_at: tuple | None = None  # (table, log) lengths of _rest
+        self._rest_at = -1  # table plus log length hashed into _rest
         self._rest: bytes | None = None
+        self._logged = -1  # log length rendered into _rest_tail
+        self._rest_tail = ""  # the rest's repr after the table's fields
         self._chain: list[list] = []  # see digest
         self._heads: dict[tuple, bytes] = {}  # frame head -> its encoding
 
@@ -165,64 +168,71 @@ class PhasedAgent:
         the frames above it are rehashed.  The rest hash is recomputed
         only when the table or the phase log grew (both are append-only,
         and ``accepted`` is set only at a phase end, which appends to the
-        log).
+        log), and the log's and the candidate's part of its repr only when
+        the log grew.
         """
         table, log = self.table, self.phase_log
-        if self._rest_at != (len(table), len(log)):
-            import hashlib  # here, not at the top: explore never hashes
-            if self._config_hash is None:
+        if self._rest_at != table.size() + len(log):
+            if self._sha256 is None:
+                import hashlib  # here, not at the top: explore never hashes
+                self._sha256 = hashlib.sha256
                 cfg = (self.mode, self.walk,
                        tuple(h.encoding() for h in self.hints))
-                self._config_hash = hashlib.sha256(
+                self._config_hash = self._sha256(
                     repr(cfg).encode()).hexdigest()
-            acc = None
-            if self.accepted is not None:
-                acc = (self.accepted.graph.encoding(), self.accepted.root)
-            rest = (len(table), table.digest(), tuple(log), acc,
-                    self._config_hash)
-            self._rest = hashlib.sha256(repr(rest).encode()).digest()
-            self._rest_at = (len(table), len(log))
+            if self._logged != len(log):
+                acc = None
+                if self.accepted is not None:
+                    acc = (self.accepted.graph.encoding(), self.accepted.root)
+                self._rest_tail = ", %r, %r, %r)" % (tuple(log), acc,
+                                                      self._config_hash)
+                self._logged = len(log)
+            # repr((len(table), table.digest(), tuple(log), acc, config))
+            rest = "(%r, %r%s" % (len(table), table.digest(), self._rest_tail)
+            self._rest = self._sha256(rest.encode()).digest()
+            # both are append-only: the sum grows whenever either does
+            self._rest_at = len(table) + len(log)
         dp = self._descend_port
         if dp is None:
             dp = -1
         chain, stack = self._chain, self.stack
-        if not stack:
-            del chain[:]
-            import hashlib  # the rest hash imported it
-            return hashlib.sha256(_TAIL.pack(self.k, dp)
-                                  + self._rest).hexdigest()
         d = len(stack)
-        if d > len(chain):
-            d = len(chain)
-        while d and chain[d - 1][0] is not stack[d - 1]:
-            d -= 1
-        del chain[d:]
-        j = d - 1 if d else 0
-        for f in stack[j:]:
-            if j < d:
-                entry = chain[j]
+        if not d:
+            del chain[:]
+            return self._sha256(_TAIL.pack(self.k, dp)
+                                + self._rest).hexdigest()
+        j = len(chain)
+        if j > d:
+            j = d
+        while j and chain[j - 1][0] is not stack[j - 1]:
+            j -= 1
+        del chain[j:]
+        # frame j - 1 is the highest one still cached (none when j = 0):
+        # pack its new children, then hash each frame above it in turn
+        while True:
+            if j:
+                entry = chain[j - 1]
+                f, h, packed = entry
+                children = f[3]
+                while packed < len(children):
+                    h.update(_CHILD.pack(*children[packed]))
+                    packed += 1
+                entry[2] = packed
+                if j == d:
+                    break
+                link = h.copy()
+                link.update(_FIELD.pack(f[4]))
+                link = link.digest()
             else:
-                import hashlib  # a new frame; see above
-                if j:
-                    below = chain[j - 1]
-                    link = below[1].copy()
-                    link.update(_FIELD.pack(below[0][4]))
-                    h = hashlib.sha256(link.digest())
-                else:
-                    h = hashlib.sha256(_ROOT)
-                key = (f[0], f[1], f[2])
-                head = self._heads.get(key)
-                if head is None:
-                    head = repr(key).encode()
-                    head = self._heads[key] = _FIELD.pack(len(head)) + head
-                h.update(head)
-                entry = [f, h, 0]  # frame, running hash, children in it
-                chain.append(entry)
-            children, h = f[3], entry[1]
-            if entry[2] < len(children):
-                for child in children[entry[2]:]:
-                    h.update(_CHILD.pack(*child))
-                entry[2] = len(children)
+                link = _ROOT
+            f = stack[j]
+            key = (f[0], f[1], f[2])
+            head = self._heads.get(key)
+            if head is None:
+                head = repr(key).encode()
+                head = self._heads[key] = _FIELD.pack(len(head)) + head
+            h = self._sha256(link + head)
+            chain.append([f, h, 0])  # frame, running hash, children in it
             j += 1
         top = h.copy()
         top.update(_TOP.pack(f[4], self.k, dp) + self._rest)
@@ -299,23 +309,30 @@ def run_agent(g: PortGraph, agent, start: int = 0,
     unless that is still unset.  An action that is not an int (a bool
     included) or not a port of the current vertex raises InvalidMove.  A
     budget exhaustion leaves the final decision unexecuted and is reported
-    in the result, never as an exception.
+    in the result, never as an exception.  A start that is not a vertex of
+    the graph (a bool included) raises InvalidMove, and a move budget that
+    is not an int >= 0 (a bool or ``float("inf")`` included) ValueError.
     """
-    if not 0 <= start < g.n:
-        raise InvalidMove(f"start vertex {start} out of range")
+    _check_start(g, start)
+    _check_budget(move_budget)
     adj, back, labels, label_of = g._adj, g._back, g._labels, g.label
     act = agent.act
     pos, entry, moves = start, None, 0
     visited = {start}
     seen = visited.add
     steps: list[StepRecord] = []
+    keep, new_record = steps.append, tuple.__new__
     while True:
         label = labels[pos]
         if label is None:
             label = label_of(pos)
         action = act((label, entry))
         if record:
-            steps.append(StepRecord(pos, entry, action, agent_digest(agent)))
+            # tuple.__new__ skips StepRecord's Python-level __new__; the
+            # digest goes through the module's agent_digest, which is the
+            # name the benchmark's trace counts
+            keep(new_record(StepRecord,
+                            (pos, entry, action, agent_digest(agent))))
         if action is None:
             return RunResult(True, moves, start, pos,
                              frozenset(visited), tuple(steps))
@@ -331,6 +348,19 @@ def run_agent(g: PortGraph, agent, start: int = 0,
         pos = nbrs[action]
         moves += 1
         seen(pos)
+
+
+def _check_start(g: PortGraph, start, what: str = "start vertex") -> None:
+    if type(start) is not int:  # a bool is an int subclass, not a vertex
+        raise InvalidMove(f"{what} {start!r} is not an int")
+    if not 0 <= start < g.n:
+        raise InvalidMove(f"{what} {start} out of range")
+
+
+def _check_budget(move_budget) -> None:
+    if type(move_budget) is not int or move_budget < 0:
+        raise ValueError(
+            f"move budget must be an int >= 0, got {move_budget!r}")
 
 
 @dataclass(frozen=True)
@@ -363,11 +393,12 @@ def explore(g: PortGraph, start: int = 0, move_budget: int = MOVE_BUDGET,
     top frame's children as the ascent back would leave them, and its
     moves are charged.  Every other decision is taken as one move, so a
     phase that fits costs one pass per port of home, and the phase the
-    budget cuts one pass per port of each frame it opens.
+    budget cuts one pass per port of each frame it opens.  A bad start or
+    budget raises as in ``run_agent``.
     """
     agent = PhasedAgent(mode=mode, hints=hints, walk=walk)
-    if not 0 <= start < g.n:
-        raise InvalidMove(f"start vertex {start} out of range")
+    _check_start(g, start)
+    _check_budget(move_budget)
     adj, back, label, nb = g._adj, g._back, g.label, agent.nb
     stack = agent.stack
     sizes: dict = {}  # walk-subtree node counts, keyed as the fold memo
@@ -446,6 +477,8 @@ def lift_check(cover: PortGraph, base: PortGraph, projection: dict[int, int],
     observation histories force equal actions and equal memory digests, and
     the cover run's position must project to the base run's position at
     every step; the report records the first step where any of that fails.
+    A cover start that is not a vertex of the cover raises InvalidMove, and
+    the twins' ``run_agent`` calls check the move budget.
     """
     try:
         covering = is_graph_covering(projection, cover, base)
@@ -454,8 +487,7 @@ def lift_check(cover: PortGraph, base: PortGraph, projection: dict[int, int],
             f"the given projection is not a covering: {exc}") from exc
     if not covering:
         raise NotACovering("the given projection is not a covering")
-    if not 0 <= cover_start < cover.n:
-        raise InvalidMove(f"cover start {cover_start} out of range")
+    _check_start(cover, cover_start, "cover start")
 
     def fresh() -> PhasedAgent:
         return PhasedAgent(walk=walk)

@@ -27,11 +27,14 @@ class ViewInterner:
     subtrees (at equal remaining depth) receive equal ids.
     """
 
-    __slots__ = ("_ids", "_keys", "_hash", "_hashed")
+    __slots__ = ("_ids", "_keys", "_hash", "_hashed", "size")
 
     def __init__(self) -> None:
         self._ids: dict[tuple, int] = {}
         self._keys: list[tuple] = []
+        # size() is len(table) without a Python-level call, for callers
+        # that read the length once per step
+        self.size = self._keys.__len__
         self._hash = None  # created by the first digest() call
         self._hashed = 0
 

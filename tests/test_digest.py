@@ -11,6 +11,11 @@ repr of the complete state.  Both must induce the same equality relation
 on agent states: step for step, across whole families of runs, whenever
 the digest is taken, and on hand-built states that a naive concatenation
 of fields would confuse.
+
+``ParentDigest`` is the chain digest before its per-step costs were cut,
+kept as a reference for byte-identical values: the digest must not change
+when only its speed does.  One frozen literal, over a whole lift twin's
+digest stream, catches a change to digest values that both would share.
 """
 
 import hashlib
@@ -271,6 +276,147 @@ def test_digests_at_irregular_gaps_equal_every_step_digests(name, walk):
         phase_ends += sampler.phase_ends
     assert deep_returns >= 1
     assert phase_ends >= 1
+
+
+FIELD = struct.Struct("<q")  # a head's byte length, or a next port
+CHILD = struct.Struct("<qqq")  # (via port, entry port, interned id)
+TAIL = struct.Struct("<qq")  # (k, descent port or -1)
+TOP = struct.Struct("<qqq")  # the top frame's next port, then the tail
+ROOT = bytes(32)  # the link below the root frame
+
+
+class ParentDigest:
+    """``PhasedAgent.digest`` before recorded steps got cheaper, with its
+    caches held here instead of on the agent: a hash chain over the frame
+    stack, closed at the top with the next port, k, the descent port and
+    a rest hash over the table, log, accepted candidate and configuration
+    (see ``PhasedAgent.digest`` for the encoding)."""
+
+    def __init__(self):
+        self.config_hash = None
+        self.rest_at = None  # (table, log) lengths of rest
+        self.rest = None
+        self.chain: list[list] = []  # [frame, running hash, children in it]
+        self.heads: dict[tuple, bytes] = {}
+
+    def __call__(self, agent: PhasedAgent) -> str:
+        table, log = agent.table, agent.phase_log
+        if self.rest_at != (len(table), len(log)):
+            if self.config_hash is None:
+                cfg = (agent.mode, agent.walk,
+                       tuple(h.encoding() for h in agent.hints))
+                self.config_hash = hashlib.sha256(
+                    repr(cfg).encode()).hexdigest()
+            acc = None
+            if agent.accepted is not None:
+                acc = (agent.accepted.graph.encoding(), agent.accepted.root)
+            rest = (len(table), table.digest(), tuple(log), acc,
+                    self.config_hash)
+            self.rest = hashlib.sha256(repr(rest).encode()).digest()
+            self.rest_at = (len(table), len(log))
+        dp = agent._descend_port
+        if dp is None:
+            dp = -1
+        chain, stack = self.chain, agent.stack
+        if not stack:
+            del chain[:]
+            return hashlib.sha256(TAIL.pack(agent.k, dp)
+                                  + self.rest).hexdigest()
+        d = len(stack)
+        if d > len(chain):
+            d = len(chain)
+        while d and chain[d - 1][0] is not stack[d - 1]:
+            d -= 1
+        del chain[d:]
+        j = d - 1 if d else 0
+        for f in stack[j:]:
+            if j < d:
+                entry = chain[j]
+            else:
+                if j:
+                    below = chain[j - 1]
+                    link = below[1].copy()
+                    link.update(FIELD.pack(below[0][4]))
+                    h = hashlib.sha256(link.digest())
+                else:
+                    h = hashlib.sha256(ROOT)
+                key = (f[0], f[1], f[2])
+                head = self.heads.get(key)
+                if head is None:
+                    head = repr(key).encode()
+                    head = self.heads[key] = FIELD.pack(len(head)) + head
+                h.update(head)
+                entry = [f, h, 0]
+                chain.append(entry)
+            children, h = f[3], entry[1]
+            if entry[2] < len(children):
+                for child in children[entry[2]:]:
+                    h.update(CHILD.pack(*child))
+                entry[2] = len(children)
+            j += 1
+        top = h.copy()
+        top.update(TOP.pack(f[4], agent.k, dp) + self.rest)
+        return top.hexdigest()
+
+
+class BothDigests:
+    """Drives a PhasedAgent and takes its digest and the parent's after
+    every decision, or, given a seeded rng, after irregular gaps."""
+
+    def __init__(self, rng: random.Random | None = None, **agent_kw):
+        self.agent = PhasedAgent(**agent_kw)
+        self.parent = ParentDigest()
+        self.rng = rng
+        self.step, self.due = -1, 0
+        self.taken: list[tuple[int, str, str]] = []  # (step, digest, parent)
+
+    def act(self, obs):
+        action = self.agent.act(obs)
+        self.step += 1
+        if self.step == self.due:
+            self.taken.append((self.step, agent_digest(self.agent),
+                               self.parent(self.agent)))
+            rng = self.rng
+            self.due += 1 if rng is None else rng.randint(
+                1, rng.choice((2, 6, 20, 80)))
+        return action
+
+
+@pytest.mark.parametrize("walk", ["full", "nonbacktracking"])
+def test_digests_are_the_parents_byte_for_byte(walk):
+    """Every canonical graph on at most 4 vertices and every catalog
+    terrain, plus a hinted run through candidate phase ends, digested at
+    every step and at irregular gaps: each digest is the parent's hex
+    string, and a gap's digest is the every-step run's at that step."""
+    c4 = graph("c4")
+    runs = [(g, 300, {}) for g in all_canonical(4)]
+    runs += [(graph(name), 1000, {}) for name in names()]
+    runs += [(c4, 600, dict(mode="hinted", hints=[c4]))]
+    steps = gaps = 0
+    for seed, (g, cap, kw) in enumerate(runs):
+        every = BothDigests(walk=walk, **kw)
+        run_agent(g, every, 0, cap)
+        for _, digest, parent in every.taken:
+            assert digest == parent, (g.encoding(), walk, kw)
+        at = {step: digest for step, digest, _ in every.taken}
+        sampled = BothDigests(random.Random(seed), walk=walk, **kw)
+        run_agent(g, sampled, 0, cap)
+        for step, digest, parent in sampled.taken:
+            assert digest == parent == at[step], (g.encoding(), walk, step)
+        steps += len(every.taken)
+        gaps += len(sampled.taken)
+    assert steps > 40_000 and gaps > 3_000
+
+
+def test_lift_twin_digest_stream_is_frozen():
+    """sha256 over the 10,001 step digests of the c8 -> c4 base twin on the
+    full walk.  A change of digest values fails here and must be logged."""
+    f8, c8, c4 = vertex_map("c8_to_c4")
+    steps = run_agent(c4, PhasedAgent(), f8[0], 10**4, record=True).steps
+    assert len(steps) == 10_001
+    stream = "".join(step.digest for step in steps).encode()
+    assert hashlib.sha256(stream).hexdigest() == (
+        "01856a2ff3105eb89af8246119d517bb17ac15a0a2113e6c99d75c4878fdf525")
 
 
 LABEL = graph("k3").label(0)

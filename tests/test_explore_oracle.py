@@ -7,9 +7,9 @@ the agent move by move.  For every input and budget the two must agree on
 status, moves, phases, halt phase, candidate, visited vertices, final
 position, phase log (view ids included) and the agent's memory digest.
 
-Budgets: -1, 0, each phase end within the cap and one move either side
-of it, a mid-phase value per phase, the cap itself and, when the run halts
-within the cap, values past the halt.  Phase ends come from a literal run
+Budgets: -1, which both refuse with ValueError, 0, each phase end within
+the cap and one move either side of it, a mid-phase value per phase, the
+cap itself and, when the run halts within the cap, values past the halt.  Phase ends come from a literal run
 that records them; a run with more than eight keeps its first six and its
 last two.  Inputs: every canonical port graph on at most 4
 vertices from every start and every catalog terrain from vertex 0, on both
@@ -63,7 +63,7 @@ def budgets(g, start, cap, **config) -> list[int]:
     agent = PhaseEnds(**config)
     run = run_agent(g, agent, start, cap)
     ends = [0] + agent.ends
-    out = {-1, 0, cap}
+    out = {0, cap}
     for i in range(1, len(ends)):
         if i <= KEPT_FIRST or i > len(ends) - 1 - KEPT_LAST:
             end = ends[i]
@@ -72,7 +72,7 @@ def budgets(g, start, cap, **config) -> list[int]:
         out |= {run.moves + 1, 3 * run.moves + 7}
     else:
         out.add((ends[-1] + cap) // 2)
-    return sorted(out)
+    return sorted(b for b in out if b >= 0)  # a phase end at 0 moves
 
 
 def encoding(candidate):
@@ -81,6 +81,10 @@ def encoding(candidate):
 
 
 def assert_explore_is_literal(g, start, cap, **config):
+    with pytest.raises(ValueError):
+        run_agent(g, PhasedAgent(**config), start, -1)
+    with pytest.raises(ValueError):
+        explore(g, start, -1, **config)
     for budget in budgets(g, start, cap, **config):
         agent = PhasedAgent(**config)
         run = run_agent(g, agent, start, budget)

@@ -77,6 +77,31 @@ def test_start_out_of_range_faults(p2):
         run_agent(p2, Scripted([]), start=2)
 
 
+@pytest.mark.parametrize("start", [True, False, 1.0, "0", None])
+def test_start_that_is_not_an_int_faults(start):
+    p3 = graph("p3")  # True would pass a range check as vertex 1
+    with pytest.raises(InvalidMove, match="is not an int"):
+        run_agent(p3, PhasedAgent(), start, 100)
+    with pytest.raises(InvalidMove, match="is not an int"):
+        explore(p3, start=start)
+    f, src, dst = vertex_map("c8_to_c4")
+    with pytest.raises(InvalidMove, match="cover start .* is not an int"):
+        lift_check(src, dst, f, cover_start=start)
+
+
+@pytest.mark.parametrize("budget", [-5, -1, 2.5, 3.0, float("inf"), True,
+                                    False, "10", None])
+def test_move_budget_must_be_an_int_at_least_zero(budget):
+    p3 = graph("p3")
+    with pytest.raises(ValueError, match="move budget"):
+        run_agent(p3, PhasedAgent(), 0, budget)
+    with pytest.raises(ValueError, match="move budget"):
+        explore(p3, move_budget=budget)
+    f, src, dst = vertex_map("c8_to_c4")
+    with pytest.raises(ValueError, match="move budget"):
+        lift_check(src, dst, f, move_budget=budget)
+
+
 def test_zero_budget_reports_exhaustion(p2):
     run = run_agent(p2, Scripted([0, 0]), move_budget=0)
     assert not run.halted
@@ -345,6 +370,31 @@ def test_lift_reports_the_first_divergence(monkeypatch, twin, kind, at):
     assert first_divergence_by_steps(rep, f) == at
     sb, sc = rep.base_run.steps[at], rep.cover_run.steps[at]
     assert (sb.digest == sc.digest) == (kind != "state")
+
+
+def test_lift_digests_through_the_module_names(monkeypatch):
+    """Recording calls the module's ``agent_digest`` once per step, and
+    ``lift_check`` calls the module's ``run_agent``: the divergence test
+    above patches one, and the benchmark's trace counts the other."""
+    calls = {"agent_digest": 0, "run_agent": 0}
+
+    def counted(name):
+        real = getattr(explorer, name)
+
+        def wrapper(*args, **kw):
+            calls[name] += 1
+            return real(*args, **kw)
+        monkeypatch.setattr(explorer, name, wrapper)
+
+    counted("agent_digest")
+    counted("run_agent")
+    f, src, dst = vertex_map("c8_to_c4")
+    rep = lift_check(src, dst, f, move_budget=1000)
+    assert rep.ok
+    assert calls["run_agent"] == 2
+    assert calls["agent_digest"] == len(rep.base_run.steps) + len(
+        rep.cover_run.steps) == 2002
+    assert all(type(s) is explorer.StepRecord for s in rep.base_run.steps)
 
 
 def test_lift_requires_a_covering():
