@@ -9,12 +9,19 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class Budgets:
-    """Hard caps; exceeding one yields an explicit verdict, never silence."""
+    """Hard caps; exceeding one yields an explicit verdict, never silence.
+    Each is an int >= 0 (a bool is not), else ValueError."""
 
     cover_vertices: int = 500   # lifted vertices per development, root included
     # loops per contractibility search: the start, then at each expansion
     # every child within the move bound, repeats included
     search_states: int = 10**6
+
+    def __post_init__(self):
+        for name in ("cover_vertices", "search_states"):
+            cap = getattr(self, name)
+            if type(cap) is not int or cap < 0:
+                raise ValueError(f"{name} must be an int >= 0, got {cap!r}")
 
 
 DEFAULT_BUDGETS = Budgets()

@@ -20,7 +20,6 @@ from __future__ import annotations
 import mmap
 import operator
 from array import array
-from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 
@@ -76,7 +75,7 @@ def _slots(code: str, items: int, old=None):
 
 
 def develop(label, neighbor, root, budget: int, same=operator.eq):
-    """Star completion over a vertex source.  Returns (lift, off, ladj), or
+    """Star completion over a vertex source.  Returns (lift, graph), or
     None when the lifted vertices, the root included, would outnumber the
     budget or a fresh vertex would pass the source's horizon.
 
@@ -94,23 +93,20 @@ def develop(label, neighbor, root, budget: int, same=operator.eq):
     identification a triangle forces, so a port that a lifted vertex
     enters by, or that a neighbor-neighbor edge fills, is never asked.
 
-    lift[i] is the node under lifted vertex i.  The ports of i are the flat
-    slots ladj[off[i] : off[i + 1]] of an array, slot off[i] + p holding
-    the lifted neighbor through port p; ``off`` is an array('q') of
-    len(lift) + 1 offsets, and ``ladj`` an array('i') of 32-bit slots
-    while the budget is below 2**31 and an array('q') from there on.  A
-    port that would index outside its vertex's slots raises
+    lift[i] is the node under lifted vertex i, and ``graph`` the lifted
+    PortGraph, back ports from the stars.  A port that would index outside
+    its vertex's ports, or one a closed development left unset, raises
     InconsistentStar.
     Deterministic: lifted vertices are completed in creation order, ports
     in ascending order.
 
-    While it runs, the lift holds each node's index in the star table,
+    While it runs, the lift holds each node's index in the star table, the
+    ports of lifted vertex i are the flat slots ladj[off[i] : off[i + 1]],
     and all three live in buffers (``_slots``) that double when full.  A
     slot holds the lifted neighbor plus one, and 0 while unset: the
     buffers start zero-filled, so a fresh vertex's slots need no writing.
-    Slot values reach the budget, hence the typecode rule above.  A closed
-    development is copied out into the types above, one subtracted from
-    every slot.
+    Slot values reach the budget, so slots and lift are 32-bit below a
+    budget of 2**31 and 64-bit from there on; offsets are 64-bit.
     """
     if budget < 1:
         return None
@@ -247,29 +243,18 @@ def develop(label, neighbor, root, budget: int, same=operator.eq):
                 ladj[sa] = b
                 ladj[sb] = a
         i += 1
-    lifted = [nodes[k] for k in lift[:n]]
-    offsets = array("q", off[:n + 1])
-    ports = array(code, map((-1).__add__, ladj[:used]))  # unset: -1
     # every slot is set once its vertex is completed and the range checks
     # keep writes inside their vertex, so this is the closing invariant
-    if -1 in ports:
-        idx = bisect_right(offsets, ports.index(-1)) - 1
-        raise InconsistentStar(
-            f"lifted {idx} over {lifted[idx]} left incomplete")
-    return lifted, offsets, ports
-
-
-def lifted_graph(lift: list, off: array, ladj: array, label) -> PortGraph:
-    """The port graph of a closed development; back ports from the labels."""
     edges = []
-    for i, v in enumerate(lift):
-        back = label(v)[1]
-        o = off[i]
-        for p in range(off[i + 1] - o):
-            j = ladj[o + p]
-            if i < j:
-                edges.append((i, j, p, back[p]))
-    return PortGraph(len(lift), edges)
+    for i, k in enumerate(lift[:n]):
+        back = table[k][1]
+        for p, c in enumerate(ladj[off[i]:off[i + 1]]):
+            if not c:
+                raise InconsistentStar(
+                    f"lifted {i} over {nodes[k]} left incomplete")
+            if c > i + 1:
+                edges.append((i, c - 1, p, back[p]))
+    return [nodes[k] for k in lift[:n]], PortGraph(n, edges)
 
 
 def universal_cover(g: PortGraph, base: int = 0, verify: bool = True,
@@ -280,17 +265,17 @@ def universal_cover(g: PortGraph, base: int = 0, verify: bool = True,
     the (integral) sheet count, and has passed an audit: the projection is
     a covering under both definitions, fibers have equal sizes, and the
     cover is simply connected.  On "budget_exceeded" only ``explored`` is
-    meaningful.  ValueError when ``base`` is not a vertex of g.
+    meaningful.  ValueError when ``base`` is not a vertex of g (a bool or a
+    float included).
     """
-    if not 0 <= base < g.n:
+    if type(base) is not int or not 0 <= base < g.n:
         raise ValueError(f"base {base} out of range for a {g.n}-vertex graph")
     dev = develop(g.label, g.neighbor, base, budgets.cover_vertices)
     if dev is None:
         return CoverResult("budget_exceeded", None, None, None, base,
                            explored=budgets.cover_vertices)
-    lift = dev[0]
+    lift, cover = dev
     n_cov = len(lift)
-    cover = lifted_graph(*dev, g.label)
     projection = dict(enumerate(lift))
     counts = Counter(lift)
     fiber_sizes = [counts[v] for v in g.vertices]

@@ -25,7 +25,7 @@ from functools import lru_cache, partial
 from itertools import combinations, permutations, product
 from typing import Iterable, Iterator, Sequence
 
-from .cover import develop, lifted_graph
+from .cover import develop
 from .errors import KernelFault
 from .graphs import Label, PortGraph, port_map
 from .views import ViewInterner, ViewKey, _fold
@@ -176,7 +176,7 @@ def find_candidate(vk: ViewKey, k: int, mode: str = "exhaustive",
                   lambda x, y: label(x) == label(y))
     if dev is None:
         return None
-    h = lifted_graph(*dev, label)
+    h = dev[1]
     if not _has_view(vk, h, 0):  # guards against id aliasing
         raise KernelFault(
             f"candidate ({h!r}, root 0) failed re-verification at depth {vk.depth}"

@@ -100,16 +100,17 @@ def fold_graph(g: PortGraph, v: int, depth: int, table: ViewInterner,
     Full mode folds the complete walk tree.  Non-backtracking mode skips the
     entry port at every non-root node; by the free-reduction argument the two
     modes induce the same equality relation on (vertex, depth) pairs.
-    ValueError when v is not a vertex of g or depth is negative.
+    ValueError when v is not a vertex of g or depth is not an int >= 0 (a
+    bool or a float is neither).
 
     Subtrees are memoized per (vertex, remaining depth), plus the entry port
     in non-backtracking mode, and interned children first in port order.
     The fold keeps its own stack of open nodes, so any depth folds.
     """
-    if not 0 <= v < g.n:
+    if type(v) is not int or not 0 <= v < g.n:
         raise ValueError(f"vertex {v} out of range for a {g.n}-vertex graph")
-    if depth < 0:
-        raise ValueError("negative view depth")
+    if type(depth) is not int or depth < 0:
+        raise ValueError(f"view depth must be an int >= 0, got {depth!r}")
     return _fold(g, v, None, depth, table.intern, nonbacktracking, {})
 
 

@@ -31,10 +31,24 @@ def test_triangle_is_simply_connected(k3):
     assert res.finite and res.sheets == 1 and res.cover.n == 3
 
 
-@pytest.mark.parametrize("base", [-1, 3])
+@pytest.mark.parametrize("base", [-1, 3, True, 1.0])
 def test_base_outside_the_graph_is_rejected(base):
     with pytest.raises(ValueError, match=f"base {base} .*3-vertex"):
         universal_cover(graph("p3"), base)
+
+
+@pytest.mark.parametrize("name, cap", [
+    ("cover_vertices", -5), ("search_states", -1), ("cover_vertices", True),
+    ("search_states", 1.5), ("cover_vertices", None),
+])
+def test_budget_caps_are_ints_from_zero(name, cap):
+    with pytest.raises(ValueError, match=f"{name} must be an int >= 0, got"):
+        Budgets(**{name: cap})
+
+
+def test_zero_caps_stay_valid():
+    res = universal_cover(graph("p3"), budgets=Budgets(0, 0))
+    assert (res.status, res.explored) == ("budget_exceeded", 0)
 
 
 def test_square_development_never_closes(c4):

@@ -3,10 +3,11 @@
 ``dict_develop`` keeps the earlier ``cover.develop``: one dict per lifted
 vertex mapping its ports to lifted neighbors, and ``label`` and
 ``neighbor`` read afresh for every lifted vertex.  The flat development
-must give the same lift order, the same ports at every lifted vertex and
-the same None on: every canonical port graph on at most 4 vertices from
-every base at every budget up to one past its cover (200 where the cover
-is infinite), every catalog terrain from every base, the view sources
+must give the same lift order, the same ports at every vertex of its
+lifted graph, each vertex with the label of the node under it, and the
+same None on: every canonical port graph on at most 4 vertices from every
+base at every budget up to one past its cover (200 where the cover is
+infinite), every catalog terrain from every base, the view sources
 ``find_candidate`` develops, and grid3 at 10^4 lifted vertices.
 
 Vertex sources whose labels contradict each other must raise
@@ -83,12 +84,6 @@ def dict_develop(label, neighbor, root, budget, same=operator.eq):
     return lift, ladj
 
 
-def port_maps(lift, off, ladj):
-    """The flat layout as one {port: lifted neighbor} dict per vertex."""
-    return [{p: ladj[off[i] + p] for p in range(off[i + 1] - off[i])}
-            for i in range(len(lift))]
-
-
 def assert_agree(label, neighbor, root, budget, same=operator.eq):
     """Both developments of one source; returns the flat one."""
     new = develop(label, neighbor, root, budget, same)
@@ -98,18 +93,32 @@ def assert_agree(label, neighbor, root, budget, same=operator.eq):
         assert new is None, where
         return new
     assert new is not None, where
-    lift, off, ladj = new
+    lift, h = new
     assert lift == old[0], where
-    assert len(off) == len(lift) + 1 and off[-1] == len(ladj), where
-    assert port_maps(lift, off, ladj) == old[1], where
+    assert [dict(enumerate(h.neighbors(i))) for i in h.vertices] == old[1], where
+    assert all(h.label(i) == label(x) for i, x in enumerate(lift)), where
     return new
+
+
+def slot_codes(monkeypatch):
+    """The typecodes ``develop`` asks ``cover._slots`` for, in call order."""
+    codes = []
+    slots = cover._slots
+
+    def record(code, items, old=None):
+        codes.append(code)
+        return slots(code, items, old)
+
+    monkeypatch.setattr(cover, "_slots", record)
+    return codes
 
 
 # -- port graphs -----------------------------------------------------------------
 
 
 @pytest.mark.parametrize("n", (1, 2, 3, 4))
-def test_canonical_graphs_at_every_budget(n):
+def test_canonical_graphs_at_every_budget(n, monkeypatch):
+    codes = slot_codes(monkeypatch)
     closed = infinite = 0
     for g in all_canonical(4):
         if g.n != n:
@@ -120,9 +129,11 @@ def test_canonical_graphs_at_every_budget(n):
             for budget in range(1, top + 1):
                 assert_agree(g.label, g.neighbor, base, budget)
             if full is not None:  # a budget past 2**31 takes 64-bit slots
-                assert full[2].typecode == "i"
-                wide = assert_agree(g.label, g.neighbor, base, 2**31 + 1)
-                assert wide[2].typecode == "q"
+                assert "i" in codes
+                codes.clear()
+                assert_agree(g.label, g.neighbor, base, 2**31 + 1)
+                assert set(codes) == {"q"}
+            codes.clear()
             closed += full is not None
             infinite += full is None
     assert closed and (n < 4 or infinite)
@@ -298,13 +309,16 @@ def test_budget_and_horizon_stop_before_an_unread_star(monkeypatch, mapped):
     assert assert_agree(label, neighbor, "R", 50) is None  # horizon
 
 
-def test_slot_typecode_at_the_32_bit_boundary():
+def test_slot_typecode_at_the_32_bit_boundary(monkeypatch):
     """A slot holds a lifted index plus one, which reaches the budget, so
-    32-bit slots last up to a budget of 2**31 - 1."""
+    32-bit slots last up to a budget of 2**31 - 1.  k3 closes in the first
+    buffers: the lift, the 64-bit offsets and the slots."""
+    codes = slot_codes(monkeypatch)
     g = graph("k3")
     for budget, code in ((2**31 - 1, "i"), (2**31, "q")):
-        lift, _, ladj = assert_agree(g.label, g.neighbor, 0, budget)
-        assert (len(lift), ladj.typecode) == (3, code)
+        codes.clear()
+        lift, h = assert_agree(g.label, g.neighbor, 0, budget)
+        assert (len(lift), h.n, codes) == (3, 3, [code, "q", code])
 
 
 # -- memory ----------------------------------------------------------------------

@@ -34,10 +34,16 @@ def test_depth_zero_view_is_single_labelled_node(k3):
     assert format_view(table, ident, 0) == f"view depth=0\n[] {k3.label(0)}\n"
 
 
-@pytest.mark.parametrize("v", [-1, 3])
+@pytest.mark.parametrize("v", [-1, 3, True, 1.0])
 def test_vertex_outside_the_graph_is_rejected(v):
     with pytest.raises(ValueError, match=f"vertex {v} .*3-vertex"):
         fold_graph(graph("p3"), v, 1, ViewInterner())
+
+
+@pytest.mark.parametrize("depth", [-1, 2.0, True])
+def test_depth_that_is_not_a_count_is_rejected(depth):
+    with pytest.raises(ValueError, match=f"depth must be an int >= 0, got {depth}"):
+        fold_graph(graph("p3"), 0, depth, ViewInterner())
 
 
 def test_p2_view_is_a_path(p2):
